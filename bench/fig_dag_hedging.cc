@@ -20,7 +20,7 @@
 
 #include "bench/common.h"
 #include "dag/dag_flags.h"
-#include "dag/experiment.h"
+#include "dag/frontier_driver.h"
 
 using namespace draconis;
 using namespace draconis::bench;
@@ -29,7 +29,7 @@ using namespace draconis::cluster;
 namespace {
 
 // Base cluster config for one point; the DAG workload rides beside it (it is
-// not an ExperimentConfig field — dag::RunDagExperiment takes it directly).
+// not an ExperimentConfig field — each point's dag::DagDriver carries it).
 ExperimentConfig DagPointConfig(SchedulerKind kind, TimeNs horizon) {
   ExperimentConfig config;
   config.scheduler = kind;
@@ -108,7 +108,8 @@ int main(int argc, char** argv) {
         point.label = label;
         point.config = DagPointConfig(info.kind, runner.horizon());
         point.run = [workload, policy](const ExperimentConfig& config) {
-          return dag::RunDagExperiment(config, workload, policy);
+          dag::DagDriver driver(workload, policy);
+          return RunExperiment(config, driver);
         };
         spec.points.push_back(std::move(point));
       }

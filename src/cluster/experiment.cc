@@ -12,7 +12,6 @@
 #include "common/check.h"
 #include "fault/injector.h"
 #include "sim/simulator.h"
-#include "workload/generators.h"
 
 namespace draconis::cluster {
 
@@ -188,17 +187,15 @@ std::string ExperimentConfig::Validate() const {
   return "";
 }
 
-ExperimentResult RunExperiment(const ExperimentConfig& config) {
-  const std::string error = config.Validate();
+ExperimentResult RunExperiment(const ExperimentConfig& config, WorkloadDriver& driver) {
+  std::string error = config.Validate();
+  if (error.empty()) {
+    error = driver.Validate(config);
+  }
   DRACONIS_CHECK_MSG(error.empty(), "invalid ExperimentConfig: " + error);
-
-  // Generate from the declarative spec when one is set; the generated stream
-  // must outlive the Feeder below, hence the local.
-  const workload::JobStream generated =
-      config.workload.enabled() ? config.workload.Generate() : workload::JobStream{};
-  const workload::JobStream& stream = config.workload.enabled() ? generated : config.stream;
-  const TimeNs last_arrival = stream.empty() ? 0 : stream.back().at;
+  const TimeNs last_arrival = driver.last_arrival();
   const TimeNs horizon = EffectiveHorizon(config, last_arrival);
+  DRACONIS_CHECK_MSG(config.warmup < horizon, "warmup must end before the horizon");
 
   const std::vector<topology::RackSpec> rack_specs = EffectiveRackSpecs(config);
   const size_t num_racks_eff = rack_specs.size();
@@ -313,11 +310,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     testbed.metrics()->ConfigureFaultWindow(config.fault_plan.first_onset(), fault_clear);
   }
 
-  Feeder feeder(&simulator, &stream, client_ptrs.size(),
-                [&client_ptrs](size_t client, const std::vector<workload::TaskSpec>& tasks) {
-                  client_ptrs[client]->SubmitJob(tasks);
-                });
-  feeder.Start();
+  driver.Start(&testbed, client_ptrs);
 
   // No-op throughput accounting: snapshot the deployment's decision count at
   // the window edges (executor pulls for pull-based kinds, worker
@@ -342,7 +335,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
       for (const auto& client : clients) {
         outstanding += client->outstanding();
       }
-      if (feeder.done() && outstanding == 0 && simulator.Now() > last_arrival) {
+      if (driver.done() && outstanding == 0 && simulator.Now() > last_arrival) {
         result.drain_time = simulator.Now();
         simulator.Clear();
         return;
@@ -362,11 +355,11 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   deployment->Harvest(result);
 
   MetricsHub* metrics = testbed.metrics();
-  const size_t offered_tasks = workload::TotalTasks(stream);
+  const size_t offered_tasks = driver.offered_tasks();
   const double stream_seconds = last_arrival > 0 ? ToSeconds(last_arrival) : 1.0;
   result.offered_tasks_per_second = static_cast<double>(offered_tasks) / stream_seconds;
   result.offered_utilization =
-      static_cast<double>(workload::TotalWork(stream)) /
+      static_cast<double>(driver.offered_work()) /
       (static_cast<double>(last_arrival > 0 ? last_arrival : 1) *
        static_cast<double>(total_executors));
   if (offered_tasks > 0) {
@@ -406,8 +399,19 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
     rec.fault_events_cleared = injector.events_cleared();
   }
 
+  driver.Harvest(&result);
   result.metrics = testbed.TakeMetrics();
   return result;
+}
+
+ExperimentResult RunExperiment(const ExperimentConfig& config) {
+  // Validate before generating: an invalid spec has no defined stream.
+  const std::string error = config.Validate();
+  DRACONIS_CHECK_MSG(error.empty(), "invalid ExperimentConfig: " + error);
+  const workload::JobStream generated =
+      config.workload.enabled() ? config.workload.Generate() : workload::JobStream{};
+  Feeder feeder(config.workload.enabled() ? &generated : &config.stream);
+  return RunExperiment(config, feeder);
 }
 
 }  // namespace draconis::cluster

@@ -3,10 +3,13 @@
 // the configured SchedulerKind through the DeploymentRegistry
 // (cluster/deployment.h) into a SchedulerDeployment — which owns all
 // kind-specific construction, wiring, client quirks, and counter harvest —
-// replays the generated job stream through round-robin clients, and derives
-// the summary statistics. Every figure-reproduction bench in bench/ is a
-// thin sweep over RunExperiment (see src/sweep/ for the parallel sweep
-// engine that drives it).
+// arms the fault plan, hands the clients to a WorkloadDriver, drains, and
+// derives the summary statistics. The driver is the only workload-specific
+// part: the open-loop Feeder (cluster/feeder.h) replays a JobStream, and
+// dag::DagDriver (dag/frontier_driver.h) runs dependency-gated DAG jobs.
+// Every figure-reproduction bench in bench/ is a thin sweep over
+// RunExperiment (see src/sweep/ for the parallel sweep engine that drives
+// it).
 //
 // This header is the public experiment API: it deliberately avoids the
 // per-scheduler baseline headers (their counters are flattened into
@@ -172,9 +175,10 @@ struct RecoveryStats {
   uint64_t fault_events_cleared = 0;
 };
 
-// Per-job results of a DAG workload run (src/dag/, docs/dag.md). Inactive
-// (active == false, the default) for plain open-loop experiments; the sweep
-// JSON emits the block only when active, so legacy goldens stay byte-equal.
+// Per-job results of a DAG workload run (src/dag/, docs/dag.md), filled by
+// dag::DagDriver::Harvest. Inactive (active == false, the default) for plain
+// open-loop experiments; the sweep JSON emits the block only when active, so
+// legacy goldens stay byte-equal.
 // Job-level definitions: makespan = job arrival -> last task completion;
 // critical path = the spec's duration-weighted longest dependency chain (a
 // zero-queueing, zero-network lower bound on makespan); stretch = makespan /
@@ -230,8 +234,45 @@ struct ExperimentResult {
 
   RecoveryStats recovery{};
 
-  // Filled by dag::RunDagExperiment (src/dag/experiment.h); inert otherwise.
+  // Filled by dag::DagDriver (src/dag/frontier_driver.h); inert otherwise.
   DagRunStats dag{};
+};
+
+class Client;
+class Testbed;
+
+// The workload-specific half of an experiment. RunExperiment builds the
+// testbed, deployment and clients and arms the fault plan, then Start()s the
+// driver; it drains on done() plus idle clients and lets the driver add its
+// own results in Harvest().
+class WorkloadDriver {
+ public:
+  WorkloadDriver() = default;
+  // Drivers schedule simulator callbacks that capture `this`.
+  WorkloadDriver(const WorkloadDriver&) = delete;
+  WorkloadDriver& operator=(const WorkloadDriver&) = delete;
+  virtual ~WorkloadDriver() = default;
+
+  // Arrival time of the last job (the default horizon ends 50 ms later).
+  virtual TimeNs last_arrival() const = 0;
+
+  // "" when the driver can run under `config`, a descriptive error otherwise.
+  virtual std::string Validate(const ExperimentConfig& config) const = 0;
+
+  // Schedules the workload on the testbed's simulator. Called once;
+  // `clients` is non-empty and the testbed and clients outlive the run.
+  virtual void Start(Testbed* testbed, const std::vector<Client*>& clients) = 0;
+
+  // Every job has been issued (and, for drivers that gate on completions,
+  // finished); the run_to_completion drain also waits for idle clients.
+  virtual bool done() const = 0;
+
+  // Offered load of the whole stream, whether or not it is reached.
+  virtual size_t offered_tasks() const = 0;
+  virtual TimeNs offered_work() const = 0;
+
+  // Adds driver-specific results, before the metrics hub moves into `result`.
+  virtual void Harvest(ExperimentResult* /*result*/) {}
 };
 
 // The per-rack shape an experiment actually runs: the configured topology's
@@ -240,6 +281,12 @@ struct ExperimentResult {
 // wiring order (and thus NodeId assignment) has a single source of truth.
 std::vector<topology::RackSpec> EffectiveRackSpecs(const ExperimentConfig& config);
 
+// Runs `driver` on the cluster `config` describes. Refuses (CHECK) a config
+// that fails Validate() or driver.Validate().
+ExperimentResult RunExperiment(const ExperimentConfig& config, WorkloadDriver& driver);
+
+// The open-loop run: replays config.workload (generated) or config.stream
+// through a Feeder.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
 }  // namespace draconis::cluster

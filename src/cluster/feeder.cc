@@ -1,23 +1,24 @@
 #include "cluster/feeder.h"
 
-#include <utility>
-
+#include "cluster/client.h"
+#include "cluster/testbed.h"
 #include "common/check.h"
 
 namespace draconis::cluster {
 
-Feeder::Feeder(sim::Simulator* simulator, const workload::JobStream* stream,
-               size_t num_clients, Sink sink)
-    : simulator_(simulator),
-      stream_(stream),
-      num_clients_(num_clients),
-      sink_(std::move(sink)) {
-  DRACONIS_CHECK(simulator != nullptr && stream != nullptr);
-  DRACONIS_CHECK(num_clients >= 1);
-  DRACONIS_CHECK(sink_ != nullptr);
+Feeder::Feeder(const workload::JobStream* stream) : stream_(stream) {
+  DRACONIS_CHECK(stream != nullptr);
 }
 
-void Feeder::Start() { ScheduleNext(); }
+TimeNs Feeder::last_arrival() const { return stream_->empty() ? 0 : stream_->back().at; }
+
+void Feeder::Start(Testbed* testbed, const std::vector<Client*>& clients) {
+  DRACONIS_CHECK(testbed != nullptr);
+  DRACONIS_CHECK(!clients.empty());
+  simulator_ = &testbed->simulator();
+  clients_ = clients;
+  ScheduleNext();
+}
 
 void Feeder::ScheduleNext() {
   if (done()) {
@@ -27,8 +28,7 @@ void Feeder::ScheduleNext() {
 }
 
 void Feeder::Fire() {
-  const workload::JobArrival& job = (*stream_)[next_];
-  sink_(next_ % num_clients_, job.tasks);
+  clients_[next_ % clients_.size()]->SubmitJob((*stream_)[next_].tasks);
   ++next_;
   ScheduleNext();
 }

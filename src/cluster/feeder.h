@@ -1,36 +1,37 @@
-// Incremental arrival feeder: replays a generated JobStream into a set of
-// clients, scheduling one simulator event at a time so huge job streams don't
-// materialize as a million queued closures. Jobs are assigned to clients
-// round-robin in arrival order.
+// Incremental arrival feeder: the open-loop WorkloadDriver. Replays a
+// generated JobStream into the clients, scheduling one simulator event at a
+// time so huge job streams don't materialize as a million queued closures.
+// Jobs are assigned to clients round-robin in arrival order.
 
 #ifndef DRACONIS_CLUSTER_FEEDER_H_
 #define DRACONIS_CLUSTER_FEEDER_H_
 
 #include <cstddef>
-#include <functional>
+#include <string>
 #include <vector>
 
+#include "cluster/experiment.h"
 #include "sim/simulator.h"
 #include "workload/spec.h"
 
 namespace draconis::cluster {
 
-class Feeder {
+class Feeder final : public WorkloadDriver {
  public:
-  // Called once per job arrival with the round-robin client index and the
-  // job's tasks.
-  using Sink = std::function<void(size_t client, const std::vector<workload::TaskSpec>&)>;
-
   // `stream` must outlive the feeder and must be sorted by arrival time (as
-  // the workload generators emit it). `num_clients` must be >= 1.
-  Feeder(sim::Simulator* simulator, const workload::JobStream* stream, size_t num_clients,
-         Sink sink);
+  // the workload generators emit it).
+  explicit Feeder(const workload::JobStream* stream);
 
-  // Schedules the first arrival; a no-op for an empty stream.
-  void Start();
-
+  TimeNs last_arrival() const override;
+  // The stream is already checked by ExperimentConfig::Validate.
+  std::string Validate(const ExperimentConfig&) const override { return ""; }
+  // Schedules the first arrival; a no-op for an empty stream. `clients` must
+  // be non-empty.
+  void Start(Testbed* testbed, const std::vector<Client*>& clients) override;
   // True once every job in the stream has been fed.
-  bool done() const { return next_ >= stream_->size(); }
+  bool done() const override { return next_ >= stream_->size(); }
+  size_t offered_tasks() const override { return workload::TotalTasks(*stream_); }
+  TimeNs offered_work() const override { return workload::TotalWork(*stream_); }
 
   size_t jobs_fed() const { return next_; }
 
@@ -38,10 +39,9 @@ class Feeder {
   void ScheduleNext();
   void Fire();
 
-  sim::Simulator* simulator_;
   const workload::JobStream* stream_;
-  size_t num_clients_;
-  Sink sink_;
+  sim::Simulator* simulator_ = nullptr;
+  std::vector<Client*> clients_;
   size_t next_ = 0;
 };
 

@@ -160,9 +160,7 @@ void FrontierDriver::OnHedgeTimer(uint64_t key) {
   }
   const net::TaskId id{client_->uid(), static_cast<uint32_t>(key >> 32),
                        static_cast<uint32_t>(key & 0xFFFFFFFFu)};
-  if (client_->HedgeTask(id, resampled)) {
-    ++hedges_launched_;
-  }
+  client_->HedgeTask(id, resampled);
 }
 
 TimeNs FrontierDriver::HedgeDelay() const {
@@ -181,6 +179,74 @@ void FrontierDriver::Harvest(cluster::DagRunStats* out) const {
   out->makespan.Merge(makespan_);
   out->critical_path.Merge(critical_path_);
   out->stretch_milli.Merge(stretch_milli_);
+}
+
+DagDriver::DagDriver(const DagWorkloadSpec& workload, const HedgePolicy& hedge)
+    : workload_(workload), hedge_(hedge) {
+  const std::string workload_error = workload_.Validate();
+  DRACONIS_CHECK_MSG(workload_error.empty(), "invalid DagWorkloadSpec: " + workload_error);
+  const std::string hedge_error = hedge_.Validate();
+  DRACONIS_CHECK_MSG(hedge_error.empty(), "invalid HedgePolicy: " + hedge_error);
+  arrivals_ = workload_.Generate();
+  // Offered load: every task of every generated job, whether or not its
+  // frontier is ever reached before the horizon.
+  for (const DagJobArrival& arrival : arrivals_) {
+    offered_tasks_ += arrival.spec.tasks.size();
+    for (const TaskNode& node : arrival.spec.tasks) {
+      offered_work_ += node.duration;
+    }
+  }
+}
+
+TimeNs DagDriver::last_arrival() const { return arrivals_.empty() ? 0 : arrivals_.back().at; }
+
+std::string DagDriver::Validate(const cluster::ExperimentConfig& config) const {
+  if (config.workload.enabled() || !config.stream.empty()) {
+    return "a DAG run takes its jobs from the DagWorkloadSpec; config.workload and "
+           "config.stream must be empty";
+  }
+  if (config.noop_executors) {
+    return "noop_executors discards task completions, which the DAG frontier driver "
+           "needs to release each next frontier";
+  }
+  return "";
+}
+
+void DagDriver::Start(cluster::Testbed* testbed, const std::vector<cluster::Client*>& clients) {
+  DRACONIS_CHECK_MSG(drivers_.empty(), "DagDriver::Start called twice");
+  DRACONIS_CHECK(!clients.empty());
+  metrics_ = testbed->metrics();
+  drivers_.reserve(clients.size());
+  for (cluster::Client* client : clients) {
+    drivers_.push_back(std::make_unique<FrontierDriver>(testbed, client, workload_, hedge_));
+  }
+  for (size_t j = 0; j < arrivals_.size(); ++j) {
+    drivers_[j % drivers_.size()]->EnqueueJob(arrivals_[j].at, arrivals_[j].spec);
+  }
+  for (const auto& driver : drivers_) {
+    driver->Start();
+  }
+}
+
+bool DagDriver::done() const {
+  return std::all_of(drivers_.begin(), drivers_.end(),
+                     [](const auto& driver) { return driver->done(); });
+}
+
+void DagDriver::Harvest(cluster::ExperimentResult* result) {
+  cluster::DagRunStats& dag = result->dag;
+  dag.active = true;
+  for (const auto& driver : drivers_) {
+    driver->Harvest(&dag);
+  }
+  dag.hedges_launched = metrics_->hedges_launched();
+  dag.hedge_wins = metrics_->hedge_wins();
+  dag.replicas_cancelled = metrics_->cancellations();
+  dag.wasted_work = metrics_->wasted_busy();
+  if (metrics_->total_busy() > 0) {
+    dag.wasted_work_fraction = static_cast<double>(metrics_->wasted_busy()) /
+                               static_cast<double>(metrics_->total_busy());
+  }
 }
 
 }  // namespace draconis::dag

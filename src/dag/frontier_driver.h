@@ -13,11 +13,16 @@
 // re-draws its service time, from its own SeedDomain::kDag stream — so a
 // hedging-off run is bit-identical across repeats, and sweeps stay
 // parallel == serial (each point owns its driver).
+//
+// DagDriver is the cluster::WorkloadDriver that runs a DagWorkloadSpec under
+// cluster::RunExperiment: one FrontierDriver per client, jobs dealt
+// round-robin in arrival order.
 
 #ifndef DRACONIS_DAG_FRONTIER_DRIVER_H_
 #define DRACONIS_DAG_FRONTIER_DRIVER_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -56,7 +61,8 @@ class FrontierDriver {
   // The driver records into the testbed's simulator/metrics and drives
   // `client` (installing itself as the client's completion callback on
   // Start). `workload` supplies the stage service models hedge resampling
-  // draws from; testbed and client must outlive the driver.
+  // draws from; testbed and client must outlive the simulation run (the
+  // destructor touches neither).
   FrontierDriver(cluster::Testbed* testbed, cluster::Client* client,
                  const DagWorkloadSpec& workload, const HedgePolicy& hedge);
 
@@ -68,7 +74,6 @@ class FrontierDriver {
 
   // All enqueued jobs ran to completion (for run_to_completion drains).
   bool done() const { return jobs_finished_ == jobs_.size(); }
-  uint64_t hedges_launched() const { return hedges_launched_; }
 
   // Accumulates this driver's job-level stats into `out` (jobs / tasks
   // submitted, makespan / critical-path / stretch histograms). Counters are
@@ -117,10 +122,40 @@ class FrontierDriver {
   uint64_t jobs_submitted_ = 0;
   uint64_t jobs_completed_ = 0;
   uint64_t tasks_submitted_ = 0;
-  uint64_t hedges_launched_ = 0;
   stats::Histogram makespan_;
   stats::Histogram critical_path_;
   stats::Histogram stretch_milli_;
+};
+
+// Runs DAG jobs with `cluster::RunExperiment(config, driver)`. The config's
+// own workload and stream stay empty (the DAG spec is the workload) and
+// noop_executors is refused: no-op executors discard the completions that
+// unlock each next frontier. Fault plans, multi-rack topologies and every
+// registered scheduler kind work as on the open-loop path — the driver only
+// talks to the client API. One driver runs one experiment.
+class DagDriver final : public cluster::WorkloadDriver {
+ public:
+  // Generates the job stream; CHECKs that `workload` and `hedge` are valid.
+  DagDriver(const DagWorkloadSpec& workload, const HedgePolicy& hedge);
+
+  TimeNs last_arrival() const override;
+  std::string Validate(const cluster::ExperimentConfig& config) const override;
+  void Start(cluster::Testbed* testbed, const std::vector<cluster::Client*>& clients) override;
+  bool done() const override;
+  size_t offered_tasks() const override { return offered_tasks_; }
+  TimeNs offered_work() const override { return offered_work_; }
+  // Fills result->dag: the drivers' job-level stats plus the hub's hedge and
+  // wasted-work counters.
+  void Harvest(cluster::ExperimentResult* result) override;
+
+ private:
+  const DagWorkloadSpec workload_;
+  const HedgePolicy hedge_;
+  std::vector<DagJobArrival> arrivals_;
+  size_t offered_tasks_ = 0;
+  TimeNs offered_work_ = 0;
+  cluster::MetricsHub* metrics_ = nullptr;
+  std::vector<std::unique_ptr<FrontierDriver>> drivers_;
 };
 
 }  // namespace draconis::dag

@@ -1,16 +1,18 @@
 // DAG workload subsystem (src/dag/, docs/dag.md): JobSpec validation and
 // JSON round-trips, shape generators, the critical-path lower bound, the
-// frontier driver end to end over RunDagExperiment, straggler hedging, and
-// the determinism contract (bit-identical repeats, including the per-point
-// sweep runner override the hedging bench relies on).
+// frontier driver end to end through RunExperiment's DagDriver, straggler
+// hedging, fault plans and multi-rack topologies on the DAG path, and the
+// determinism contract (bit-identical repeats, including the per-point sweep
+// runner override the hedging bench relies on).
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "cluster/experiment.h"
+#include "common/check.h"
 #include "dag/dag_flags.h"
-#include "dag/experiment.h"
 #include "dag/frontier_driver.h"
 #include "dag/job_spec.h"
 #include "sweep/report.h"
@@ -267,13 +269,18 @@ cluster::ExperimentConfig SmallCluster() {
   return config;
 }
 
+cluster::ExperimentResult RunDag(const cluster::ExperimentConfig& config,
+                                 const DagWorkloadSpec& workload, const HedgePolicy& hedge) {
+  DagDriver driver(workload, hedge);
+  return cluster::RunExperiment(config, driver);
+}
+
 TEST(DagExperimentTest, CompletesEveryJobAndRespectsTheLowerBound) {
   DagWorkloadSpec workload = SmallSpec(DagShape::kFanOutFanIn);
   workload.jobs_per_second = 300.0;
   workload.duration = FromMillis(20);
   const cluster::ExperimentConfig config = SmallCluster();
-  const cluster::ExperimentResult result =
-      RunDagExperiment(config, workload, HedgePolicy{});
+  const cluster::ExperimentResult result = RunDag(config, workload, HedgePolicy{});
 
   const cluster::DagRunStats& dag = result.dag;
   ASSERT_TRUE(dag.active);
@@ -310,7 +317,7 @@ TEST(DagExperimentTest, HedgingRescuesStragglersDeterministically) {
   hedge.enabled = true;
   hedge.min_samples = 16;
   hedge.initial_delay = FromMillis(1);
-  const cluster::ExperimentResult hedged = RunDagExperiment(config, workload, hedge);
+  const cluster::ExperimentResult hedged = RunDag(config, workload, hedge);
   ASSERT_TRUE(hedged.dag.active);
   EXPECT_GT(hedged.dag.hedges_launched, 0u);
   EXPECT_GT(hedged.dag.hedge_wins, 0u) << "some resampled replicas must win their race";
@@ -325,11 +332,107 @@ TEST(DagExperimentTest, HedgingRescuesStragglersDeterministically) {
   // Both modes are deterministic: hedging off consumes zero RNG, hedging on
   // draws from its own fixed SeedDomain::kDag stream — repeats of either are
   // bit-identical, report and all.
-  const cluster::ExperimentResult off_a = RunDagExperiment(config, workload, HedgePolicy{});
-  const cluster::ExperimentResult off_b = RunDagExperiment(config, workload, HedgePolicy{});
+  const cluster::ExperimentResult off_a = RunDag(config, workload, HedgePolicy{});
+  const cluster::ExperimentResult off_b = RunDag(config, workload, HedgePolicy{});
   EXPECT_EQ(sweep::ToJson(off_a), sweep::ToJson(off_b));
-  const cluster::ExperimentResult on_again = RunDagExperiment(config, workload, hedge);
+  const cluster::ExperimentResult on_again = RunDag(config, workload, hedge);
   EXPECT_EQ(sweep::ToJson(hedged), sweep::ToJson(on_again));
+}
+
+// Exact cross-commit pin of the two SmallCluster() fan-out/fan-in runs above
+// (unhedged fixed services; hedged Pareto services). Any change to event
+// ordering, seeding or harvest on the DAG path moves at least one of these.
+struct DagGolden {
+  uint64_t jobs_completed;
+  uint64_t tasks_completed;
+  TimeNs drain_time;
+  TimeNs makespan_p50;
+  TimeNs makespan_p99;
+  uint64_t hedges_launched;
+  uint64_t hedge_wins;
+  uint64_t replicas_cancelled;
+  TimeNs wasted_work;
+};
+
+void ExpectGolden(const cluster::ExperimentResult& result, const DagGolden& want) {
+  const cluster::DagRunStats& dag = result.dag;
+  ASSERT_TRUE(dag.active);
+  EXPECT_EQ(dag.jobs_completed, want.jobs_completed);
+  EXPECT_EQ(result.metrics->tasks_completed(), want.tasks_completed);
+  EXPECT_EQ(result.drain_time, want.drain_time);
+  EXPECT_EQ(dag.makespan.Percentile(0.50), want.makespan_p50);
+  EXPECT_EQ(dag.makespan.Percentile(0.99), want.makespan_p99);
+  EXPECT_EQ(dag.hedges_launched, want.hedges_launched);
+  EXPECT_EQ(dag.hedge_wins, want.hedge_wins);
+  EXPECT_EQ(dag.replicas_cancelled, want.replicas_cancelled);
+  EXPECT_EQ(dag.wasted_work, want.wasted_work);
+}
+
+TEST(DagExperimentTest, GoldenFanOutFanInRunsArePinned) {
+  DagWorkloadSpec workload = SmallSpec(DagShape::kFanOutFanIn);
+  workload.jobs_per_second = 300.0;
+  workload.duration = FromMillis(20);
+  const cluster::ExperimentConfig config = SmallCluster();
+  ExpectGolden(RunDag(config, workload, HedgePolicy{}),
+               {4, 32, FromMillis(20), 831546, 831546, 0, 0, 0, 0});
+
+  workload.service = workload::ServiceTime::Pareto(FromMicros(200), 1.2);
+  HedgePolicy hedge;
+  hedge.enabled = true;
+  hedge.min_samples = 16;
+  hedge.initial_delay = FromMillis(1);
+  ExpectGolden(RunDag(config, workload, hedge),
+               {4, 32, FromMillis(20), 1376255, 1441791, 4, 4, 4, 235582});
+}
+
+// ---------------------------------------------------------------------------
+// The DAG driver on the shared orchestrator: fault plans and topologies
+// ---------------------------------------------------------------------------
+
+DagWorkloadSpec FanOutStream() {
+  DagWorkloadSpec workload = SmallSpec(DagShape::kFanOutFanIn);
+  workload.jobs_per_second = 300.0;
+  workload.duration = FromMillis(20);
+  return workload;
+}
+
+TEST(DagExperimentTest, SurvivesASchedulerFailover) {
+  cluster::ExperimentConfig config = SmallCluster();
+  config.fault_plan.SchedulerFailover(FromMillis(10));
+  const cluster::ExperimentResult result = RunDag(config, FanOutStream(), HedgePolicy{});
+
+  ASSERT_TRUE(result.dag.active);
+  EXPECT_GT(result.drain_time, 0) << "run_to_completion must drain every job";
+  EXPECT_GT(result.dag.jobs_submitted, 0u);
+  EXPECT_EQ(result.dag.jobs_completed, result.dag.jobs_submitted);
+  EXPECT_TRUE(result.recovery.fault_plan_active);
+  EXPECT_GT(result.recovery.client_rehomes, 0u);
+  EXPECT_EQ(result.recovery.tasks_lost, 0u);
+}
+
+TEST(DagExperimentTest, RunsOnAMultiRackTopology) {
+  cluster::ExperimentConfig config = SmallCluster();
+  config.cluster = topology::ClusterTopology::Uniform(2, 2, 4);
+  const DagWorkloadSpec workload = FanOutStream();
+  const cluster::ExperimentResult result = RunDag(config, workload, HedgePolicy{});
+
+  ASSERT_TRUE(result.dag.active);
+  EXPECT_EQ(result.num_racks, 2u);
+  EXPECT_GT(result.drain_time, 0) << "run_to_completion must drain every job";
+  EXPECT_GT(result.dag.jobs_submitted, 0u);
+  EXPECT_EQ(result.dag.jobs_completed, result.dag.jobs_submitted);
+  EXPECT_EQ(sweep::ToJson(result), sweep::ToJson(RunDag(config, workload, HedgePolicy{})));
+}
+
+TEST(DagExperimentTest, RefusesNoopExecutors) {
+  cluster::ExperimentConfig config = SmallCluster();
+  config.noop_executors = true;
+  try {
+    RunDag(config, FanOutStream(), HedgePolicy{});
+    ADD_FAILURE() << "a DAG run on no-op executors must be refused";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("noop_executors"), std::string::npos) << e.what();
+  }
 }
 
 TEST(DagExperimentTest, SweepPointRunnerOverrideCarriesTheHedgePolicy) {
@@ -352,7 +455,7 @@ TEST(DagExperimentTest, SweepPointRunnerOverrideCarriesTheHedgePolicy) {
   point.label = "dag";
   point.config = SmallCluster();
   point.run = [workload](const cluster::ExperimentConfig& config) {
-    return RunDagExperiment(config, workload, HedgePolicy{});
+    return RunDag(config, workload, HedgePolicy{});
   };
   spec.points.push_back(std::move(point));
   sweep::SweepPoint plain;
