@@ -276,7 +276,7 @@ class SweepRunner {
       modified = spec;
       // --workload / --service-time / --heavy-tail-*: reshape every point
       // that runs on a declarative WorkloadSpec (docs/workloads.md); points
-      // with hand-crafted streams are left alone.
+      // without one (DAG runs) are left alone.
       if (workload_overrides) {
         workload::ArrivalKind arrival = workload::ArrivalKind::kNone;
         if (!workload_override_.empty() &&

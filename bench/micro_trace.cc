@@ -33,7 +33,7 @@
 #include "common/flags.h"
 #include "common/json.h"
 #include "common/time.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 namespace draconis::bench {
 namespace {

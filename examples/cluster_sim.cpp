@@ -17,6 +17,7 @@
 
 #include "cluster/deployment.h"
 #include "cluster/experiment.h"
+#include "cluster/feeder.h"
 #include "common/flags.h"
 #include "workload/trace_io.h"
 #include "workload/workload.h"
@@ -125,13 +126,16 @@ int main(int argc, char** argv) {
   config.timeout_multiplier = 5.0;
 
   const size_t total_executors = config.num_workers * config.executors_per_worker;
+  // A replayed trace runs through its own Feeder; otherwise RunExperiment
+  // generates config.workload.
+  workload::JobStream trace;
   if (!trace_path.empty()) {
-    if (!workload::LoadJobStream(trace_path, &config.stream, &error)) {
+    if (!workload::LoadJobStream(trace_path, &trace, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
       return 1;
     }
-    if (!config.stream.empty()) {
-      config.horizon = config.stream.back().at + FromMillis(10);
+    if (!trace.empty()) {
+      config.horizon = trace.back().at + FromMillis(10);
     }
   } else {
     // Declarative workload spec (docs/workloads.md): RunExperiment generates
@@ -157,7 +161,9 @@ int main(int argc, char** argv) {
               total_executors,
               trace_path.empty() ? config.workload.label().c_str() : trace_path.c_str());
 
-  ExperimentResult result = RunExperiment(config);
+  Feeder feeder(&trace);
+  ExperimentResult result =
+      trace_path.empty() ? RunExperiment(config) : RunExperiment(config, feeder);
 
   const auto& sched = result.metrics->sched_delay();
   std::printf("\noffered load        %5.1f%% of cluster capacity (%.0f tasks/s)\n",

@@ -22,3 +22,8 @@ add_test(NAME example_gpu_inference COMMAND example_gpu_inference)
 add_test(NAME example_cluster_sim
          COMMAND example_cluster_sim --utilization=0.4 --duration-ms=10)
 add_test(NAME example_list_schedulers COMMAND example_list_schedulers)
+# Replays the committed CSV trace (written by workload::SaveJobStream).
+add_test(NAME example_cluster_sim_trace
+         COMMAND example_cluster_sim --trace=${CMAKE_SOURCE_DIR}/examples/sample_trace.csv)
+set_tests_properties(example_cluster_sim_trace PROPERTIES
+                     PASS_REGULAR_EXPRESSION "completed +[1-9][0-9]* of")

@@ -11,7 +11,9 @@
 #include <cstdio>
 
 #include "cluster/experiment.h"
-#include "workload/generators.h"
+#include "cluster/feeder.h"
+#include "common/rng.h"
+#include "workload/workload.h"
 
 using namespace draconis;
 using namespace draconis::cluster;
@@ -40,17 +42,18 @@ int main() {
   config.executor_template.max_retry = FromMicros(200);
 
   // 70% small-model requests (300 us, CPU), 30% large-model (1.5 ms, GPU).
-  // This example needs a custom per-task rewrite (resource bits and mixed
-  // durations), so it uses the low-level generator + explicit stream path —
-  // the escape hatch the declarative WorkloadSpec deliberately keeps open.
-  workload::OpenLoopSpec spec;
+  // The arrivals come from a WorkloadSpec; the per-task rewrite (resource
+  // bits and mixed durations) is not a spec stage, so the example rewrites
+  // the generated stream and replays it through its own Feeder.
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = 60000.0;
   spec.duration = FromMillis(500);
   spec.service = workload::ServiceTime::Fixed(FromMicros(300));
   spec.seed = 3;
-  config.stream = workload::GenerateOpenLoop(spec);
+  workload::JobStream stream = spec.Generate();
   Rng rng(99);
-  for (auto& job : config.stream) {
+  for (auto& job : stream) {
     for (auto& task : job.tasks) {
       if (rng.NextBool(0.3)) {
         task.tprops = kGpu;
@@ -61,7 +64,8 @@ int main() {
     }
   }
 
-  ExperimentResult result = RunExperiment(config);
+  Feeder feeder(&stream);
+  ExperimentResult result = RunExperiment(config, feeder);
 
   std::printf("tasks completed: %llu (drained at %s)\n\n",
               static_cast<unsigned long long>(result.metrics->tasks_completed()),

@@ -29,6 +29,15 @@ TimeNs EffectiveHorizon(const ExperimentConfig& config, TimeNs last_arrival) {
   return config.horizon > 0 ? config.horizon : last_arrival + FromMillis(50);
 }
 
+std::string CheckWarmup(const ExperimentConfig& config, TimeNs last_arrival) {
+  const TimeNs horizon = EffectiveHorizon(config, last_arrival);
+  if (config.warmup >= horizon) {
+    return "warmup must end before the horizon (warmup=" + std::to_string(config.warmup) +
+           " ns, horizon=" + std::to_string(horizon) + " ns)";
+  }
+  return "";
+}
+
 }  // namespace
 
 const char* PolicyKindName(PolicyKind kind) {
@@ -155,21 +164,17 @@ std::string ExperimentConfig::Validate() const {
     }
   }
 
-  if (workload.enabled()) {
-    if (!stream.empty()) {
-      return "set either a declarative workload spec or an explicit stream, not both";
-    }
-    const std::string workload_error = workload.Validate();
-    if (!workload_error.empty()) {
-      return workload_error;
-    }
+  const std::string workload_error = workload.Validate();
+  if (!workload_error.empty()) {
+    return workload_error;
   }
-
-  const TimeNs last_arrival =
-      workload.enabled() ? workload.ArrivalEnd() : (stream.empty() ? 0 : stream.back().at);
-  if (warmup >= EffectiveHorizon(*this, last_arrival)) {
-    return "warmup must end before the horizon (warmup=" + std::to_string(warmup) +
-           " ns, horizon=" + std::to_string(EffectiveHorizon(*this, last_arrival)) + " ns)";
+  // Without a spec or an explicit horizon, the horizon follows the driver's
+  // last arrival; RunExperiment(config, driver) checks the warmup then.
+  if (workload.enabled() || horizon > 0) {
+    const std::string warmup_error = CheckWarmup(*this, workload.ArrivalEnd());
+    if (!warmup_error.empty()) {
+      return warmup_error;
+    }
   }
 
   const std::string fault_error = fault_plan.Validate();
@@ -188,14 +193,16 @@ std::string ExperimentConfig::Validate() const {
 }
 
 ExperimentResult RunExperiment(const ExperimentConfig& config, WorkloadDriver& driver) {
+  const TimeNs last_arrival = driver.last_arrival();
   std::string error = config.Validate();
   if (error.empty()) {
     error = driver.Validate(config);
   }
+  if (error.empty()) {
+    error = CheckWarmup(config, last_arrival);
+  }
   DRACONIS_CHECK_MSG(error.empty(), "invalid ExperimentConfig: " + error);
-  const TimeNs last_arrival = driver.last_arrival();
   const TimeNs horizon = EffectiveHorizon(config, last_arrival);
-  DRACONIS_CHECK_MSG(config.warmup < horizon, "warmup must end before the horizon");
 
   const std::vector<topology::RackSpec> rack_specs = EffectiveRackSpecs(config);
   const size_t num_racks_eff = rack_specs.size();
@@ -408,9 +415,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   // Validate before generating: an invalid spec has no defined stream.
   const std::string error = config.Validate();
   DRACONIS_CHECK_MSG(error.empty(), "invalid ExperimentConfig: " + error);
-  const workload::JobStream generated =
-      config.workload.enabled() ? config.workload.Generate() : workload::JobStream{};
-  Feeder feeder(config.workload.enabled() ? &generated : &config.stream);
+  const workload::JobStream stream = config.workload.Generate();
+  Feeder feeder(&stream);
   return RunExperiment(config, feeder);
 }
 

@@ -107,11 +107,11 @@ struct ExperimentConfig {
   std::vector<uint32_t> wfq_weights = {1, 1};  // per-tenant weights (TPROPS = tenant)
 
   // Workload and run control. The declarative spec (docs/workloads.md) is
-  // the canonical path: when workload.enabled(), RunExperiment generates the
-  // job stream from it and `stream` must stay empty. The explicit `stream`
-  // remains for tests that hand-craft arrivals.
+  // the one description of an open-loop stream: RunExperiment(config)
+  // generates it and replays it through a Feeder. A hand-built JobStream
+  // (CSV replay, per-task rewrites) runs through RunExperiment(config,
+  // feeder) with the spec left at ArrivalKind::kNone.
   workload::WorkloadSpec workload{};
-  workload::JobStream stream;
   TimeNs warmup = FromMillis(20);
   TimeNs horizon = 0;            // 0: last arrival + 50 ms
   TimeNs drain_margin = FromMillis(50);  // extra sim time past the horizon
@@ -285,8 +285,8 @@ std::vector<topology::RackSpec> EffectiveRackSpecs(const ExperimentConfig& confi
 // that fails Validate() or driver.Validate().
 ExperimentResult RunExperiment(const ExperimentConfig& config, WorkloadDriver& driver);
 
-// The open-loop run: replays config.workload (generated) or config.stream
-// through a Feeder.
+// The open-loop run: generates config.workload and replays it through a
+// Feeder.
 ExperimentResult RunExperiment(const ExperimentConfig& config);
 
 }  // namespace draconis::cluster

@@ -1,7 +1,12 @@
 // Incremental arrival feeder: the open-loop WorkloadDriver. Replays a
-// generated JobStream into the clients, scheduling one simulator event at a
-// time so huge job streams don't materialize as a million queued closures.
-// Jobs are assigned to clients round-robin in arrival order.
+// JobStream into the clients, scheduling one simulator event at a time so
+// huge job streams don't materialize as a million queued closures. Jobs are
+// assigned to clients round-robin in arrival order.
+//
+// RunExperiment(config) runs a Feeder over config.workload's generated
+// stream. A caller with a stream no WorkloadSpec describes (a CSV trace, a
+// per-task rewrite of a generated stream) builds a Feeder over it and calls
+// RunExperiment(config, feeder).
 
 #ifndef DRACONIS_CLUSTER_FEEDER_H_
 #define DRACONIS_CLUSTER_FEEDER_H_
@@ -23,7 +28,7 @@ class Feeder final : public WorkloadDriver {
   explicit Feeder(const workload::JobStream* stream);
 
   TimeNs last_arrival() const override;
-  // The stream is already checked by ExperimentConfig::Validate.
+  // Any stream runs; RunExperiment checks the warmup against last_arrival().
   std::string Validate(const ExperimentConfig&) const override { return ""; }
   // Schedules the first arrival; a no-op for an empty stream. `clients` must
   // be non-empty.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/check.h"
 
@@ -182,11 +183,38 @@ double Value::AsDouble() const {
   return number_;
 }
 
+namespace {
+
+// True when `d` is integral and inside int64_t, so the cast is defined.
+bool IsInt64(double d) {
+  constexpr double kTwo63 = 9223372036854775808.0;
+  return d >= -kTwo63 && d < kTwo63 && std::trunc(d) == d;
+}
+
+}  // namespace
+
 int64_t Value::AsInt() const {
   DRACONIS_CHECK_MSG(is_number(), "JSON value is not a number");
-  const auto i = static_cast<int64_t>(number_);
-  DRACONIS_CHECK_MSG(static_cast<double>(i) == number_, "JSON number is not an integer");
-  return i;
+  DRACONIS_CHECK_MSG(IsInt64(number_), "JSON number is not an int64 integer");
+  return static_cast<int64_t>(number_);
+}
+
+bool ReadInt(const Value& v, const std::string& what, int64_t lo, int64_t hi, int64_t* out,
+             std::string* error) {
+  if (v.is_number() && IsInt64(v.AsDouble())) {
+    const auto value = static_cast<int64_t>(v.AsDouble());
+    if (value >= lo && value <= hi) {
+      *out = value;
+      return true;
+    }
+  }
+  if (error != nullptr) {
+    *error = what + " must be an integer";
+    if (lo != std::numeric_limits<int64_t>::min() || hi != std::numeric_limits<int64_t>::max()) {
+      *error += " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    }
+  }
+  return false;
 }
 
 const std::string& Value::AsString() const {

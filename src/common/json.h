@@ -79,7 +79,7 @@ class Value {
   // mismatch rather than coerce).
   bool AsBool() const;
   double AsDouble() const;
-  int64_t AsInt() const;  // CHECK-fails when the number has a fraction
+  int64_t AsInt() const;  // CHECK-fails unless the number is an int64
   const std::string& AsString() const;
   const std::vector<Value>& AsArray() const;
 
@@ -104,6 +104,24 @@ class Value {
   std::vector<Value> array_;
   std::vector<std::pair<std::string, Value>> members_;  // document order
 };
+
+// The checked integer read the config parsers share: `v` must be an integral
+// number in [lo, hi]. Otherwise returns false and sets *error (when non-null)
+// to "<what> must be an integer[ in [lo, hi]]"; *out is left untouched.
+bool ReadInt(const Value& v, const std::string& what, int64_t lo, int64_t hi, int64_t* out,
+             std::string* error);
+
+// ReadInt into a narrower field; [lo, hi] must fit in T.
+template <typename T>
+bool ReadInt(const Value& v, const std::string& what, int64_t lo, int64_t hi, T* out,
+             std::string* error) {
+  int64_t value = 0;
+  if (!ReadInt(v, what, lo, hi, &value, error)) {
+    return false;
+  }
+  *out = static_cast<T>(value);
+  return true;
+}
 
 // Parses a complete JSON document. Returns false (and a "line N: ..." error
 // when `error` is non-null) on malformed input or trailing garbage.

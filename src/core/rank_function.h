@@ -89,8 +89,8 @@ class SrptRank : public RankFunction {
 };
 
 // Earliest deadline first. TPROPS carries the task's relative deadline in
-// microseconds (workload::TagDeadlines); rank = enqueue time + deadline, an
-// absolute nanosecond deadline. TPROPS = 0 degenerates to FIFO.
+// microseconds (workload::TaggerStage::Deadline); rank = enqueue time +
+// deadline, an absolute nanosecond deadline. TPROPS = 0 degenerates to FIFO.
 class EdfRank : public RankFunction {
  public:
   const char* name() const override { return "edf"; }

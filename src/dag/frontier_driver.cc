@@ -201,9 +201,9 @@ DagDriver::DagDriver(const DagWorkloadSpec& workload, const HedgePolicy& hedge)
 TimeNs DagDriver::last_arrival() const { return arrivals_.empty() ? 0 : arrivals_.back().at; }
 
 std::string DagDriver::Validate(const cluster::ExperimentConfig& config) const {
-  if (config.workload.enabled() || !config.stream.empty()) {
-    return "a DAG run takes its jobs from the DagWorkloadSpec; config.workload and "
-           "config.stream must be empty";
+  if (config.workload.enabled()) {
+    return "a DAG run takes its jobs from the DagWorkloadSpec; config.workload must be "
+           "disabled";
   }
   if (config.noop_executors) {
     return "noop_executors discards task completions, which the DAG frontier driver "

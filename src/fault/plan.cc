@@ -1,6 +1,8 @@
 #include "fault/plan.h"
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 #include "common/check.h"
@@ -53,8 +55,8 @@ bool KindFromName(const std::string& name, EventKind* out) {
 bool ReadDuration(const json::Value& v, TimeNs* out, std::string* error,
                   const std::string& what) {
   if (v.is_number()) {
-    *out = v.AsInt();
-    return true;
+    return json::ReadInt(v, what, std::numeric_limits<int64_t>::min(),
+                         std::numeric_limits<int64_t>::max(), out, error);
   }
   if (v.is_string() && ParseDuration(v.AsString(), out)) {
     return true;
@@ -81,11 +83,11 @@ bool ReadNodeRef(const json::Value* v, NodeRef* out, std::string* error,
     return false;
   }
   if (const json::Value* index = v->Find("index"); index != nullptr) {
-    if (!index->is_number()) {
-      *error = what + ".index must be an integer (-1 = all instances)";
+    if (!json::ReadInt(*index, what + ".index", -1, std::numeric_limits<int32_t>::max(),
+                       &out->index, error)) {
+      *error += " (-1 = all instances)";
       return false;
     }
-    out->index = static_cast<int32_t>(index->AsInt());
   } else {
     out->index = 0;
   }
@@ -250,7 +252,8 @@ bool FaultPlan::FromJson(const std::string& text, FaultPlan* out, std::string* e
     }
   }
   if (const json::Value* version = doc.Find("schema_version"); version != nullptr) {
-    if (!version->is_number() || version->AsInt() != 1) {
+    int64_t schema = 0;
+    if (!json::ReadInt(*version, "schema_version", 1, 1, &schema, nullptr)) {
       *error = "unsupported fault plan schema_version (expected 1)";
       return false;
     }

@@ -191,9 +191,8 @@ std::string RenderJson(const SweepSpec& spec, const std::vector<SweepPointResult
       }
       w.Key("sim_queue").String(sim::QueueBackendName(config.sim_queue));
       w.Key("seed").UInt(config.seed);
-      // Emitted only when the point runs on a declarative WorkloadSpec, so
-      // the hand-crafted-stream golden in tests/sweep_test.cc stays
-      // byte-identical.
+      // Emitted only when the point carries a WorkloadSpec (DAG points and
+      // the golden in tests/sweep_test.cc carry none).
       if (config.workload.enabled()) {
         w.Key("workload");
         config.workload.WriteJson(w);

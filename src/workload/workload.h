@@ -4,15 +4,16 @@
 // stream: an arrival process (open-loop Poisson, the Fig. 11 phased ramp, or
 // the synthetic Google-trace replay), a ServiceTime distribution, and an
 // ordered stack of tagger stages (locality / priority / deadline / tenant)
-// that stamp TPROPS after generation. Benches set a spec on
-// ExperimentConfig::workload instead of hand-building JobStreams, which is
-// what lets one flag (--service-time, --heavy-tail-*) re-shape every bench.
+// that stamp TPROPS after generation. It is the only public description of
+// an open-loop stream: benches set a spec on ExperimentConfig::workload,
+// which is what lets one flag (--service-time, --heavy-tail-*) re-shape
+// every bench. The arrival engines are private to workload.cc.
 //
-// Determinism contract: Generate() delegates to the exact generator engines
-// (GenerateOpenLoop / GenerateResourcePhases / GenerateGoogleTrace) and then
-// applies each tagger with its own seed, so a spec that mirrors a legacy
-// call sequence reproduces the same JobStream bit for bit — the pinned
-// goldens in tests/determinism_test.cc ride on this.
+// Determinism contract: Generate() runs the arrival engine on Rng(seed) and
+// then each tagger on its own Rng(stage.seed), so a spec names exactly one
+// JobStream. tests/workload_test.cc (WorkloadPinTest) pins the streams of
+// four specs; the simulation goldens in tests/determinism_test.cc ride on
+// them.
 
 #ifndef DRACONIS_WORKLOAD_WORKLOAD_H_
 #define DRACONIS_WORKLOAD_WORKLOAD_H_
@@ -28,8 +29,9 @@
 
 namespace draconis::workload {
 
-// Which arrival process drives the stream. kNone disables the spec (the
-// legacy ExperimentConfig::stream path stays authoritative).
+// Which arrival process drives the stream. kNone means the config carries
+// no open-loop stream (DAG runs, or a hand-built stream run through a
+// cluster::Feeder).
 enum class ArrivalKind { kNone, kOpenLoop, kPhased, kGoogleTrace };
 
 const char* ArrivalKindName(ArrivalKind kind);
@@ -38,12 +40,11 @@ bool ArrivalKindFromName(const std::string& name, ArrivalKind* out);
 const std::vector<std::string>& ArrivalKindNames();
 
 // The paper's 4-level priority mix (1.2% / 1.7% / 64.6% / 32.2%), shared by
-// the google-trace generator and the priority tagger stage. Defined in
-// generators.cc; re-declared here so benches only need this header.
+// the google-trace generator and the priority tagger stage.
 const std::vector<double>& PaperPriorityMix();
 
 // One named, parameterized tagging stage; stages run in declaration order,
-// each with its own Rng(seed), exactly like the free-standing Tag* calls.
+// each with its own Rng(seed).
 struct TaggerStage {
   enum class Kind { kLocality, kPriority, kDeadline, kTenant };
 
@@ -60,7 +61,7 @@ struct TaggerStage {
   static TaggerStage Deadline(double slack, uint32_t jitter_us, uint64_t seed);
   static TaggerStage Tenant(uint32_t num_tenants, uint64_t seed);
 
-  void Apply(JobStream& stream) const;
+  void Apply(JobStream& stream) const;  // CHECK-fails on an invalid stage
   std::string Validate() const;  // "" when well-formed
   void WriteJson(json::Writer& w) const;
   static bool FromJson(const json::Value& v, TaggerStage* out, std::string* error);
@@ -77,7 +78,9 @@ struct WorkloadSpec {
   size_t tasks_per_job = 1;
   // kPhased: three consecutive phases of this length (Fig. 11).
   TimeNs phase_duration = FromSeconds(30);
-  // kGoogleTrace shape (see google_trace.h).
+  // kGoogleTrace shape: lognormal task durations of this mean and sigma,
+  // bounded-Pareto job sizes in [1, max_job_size] with shape burst_alpha,
+  // and 0 (untagged) or 4 (the paper's mix) priority levels.
   TimeNs mean_task_duration = FromMicros(500);
   double duration_sigma = 1.2;
   double burst_alpha = 1.3;

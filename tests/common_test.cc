@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/json.h"
@@ -345,6 +349,45 @@ TEST(JsonParseTest, ErrorsCarryLineNumbers) {
   std::string error;
   ASSERT_FALSE(json::Parse("{\n  \"a\": 1,\n  oops\n}", &doc, &error));
   EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+}
+
+TEST(JsonReadIntTest, AcceptsIntegralValuesInRange) {
+  int64_t out = 0;
+  std::string error;
+  EXPECT_TRUE(json::ReadInt(json::Value::Number(-1), "x", -1, 5, &out, &error));
+  EXPECT_EQ(out, -1);
+  uint32_t narrow = 0;
+  EXPECT_TRUE(json::ReadInt(json::Value::Number(4294967295.0), "x", 0, 4294967295, &narrow,
+                            &error));
+  EXPECT_EQ(narrow, 4294967295u);
+}
+
+TEST(JsonReadIntTest, RejectsFractionsRangeAndNonNumbers) {
+  // 2^63 is one past int64; casting it unchecked is undefined.
+  std::vector<json::Value> bad = {json::Value::Str("3"), json::Value::Null()};
+  for (double d : {1.5, 6.0, -2.0, 1e19, -1e19, 9223372036854775808.0}) {
+    bad.push_back(json::Value::Number(d));
+  }
+  for (const json::Value& v : bad) {
+    int64_t out = 42;
+    std::string error;
+    EXPECT_FALSE(json::ReadInt(v, "field", -1, 5, &out, &error));
+    EXPECT_EQ(out, 42);  // untouched
+    EXPECT_EQ(error, "field must be an integer in [-1, 5]");
+  }
+  int64_t out = 0;
+  std::string error;
+  EXPECT_FALSE(json::ReadInt(json::Value::Number(0.5), "t", std::numeric_limits<int64_t>::min(),
+                             std::numeric_limits<int64_t>::max(), &out, &error));
+  EXPECT_EQ(error, "t must be an integer");  // the full range goes unsaid
+}
+
+TEST(JsonReadIntTest, AsIntRangeChecksBeforeCasting) {
+  EXPECT_EQ(json::Value::Number(-9223372036854775808.0).AsInt(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_THROW(json::Value::Number(9223372036854775808.0).AsInt(), CheckFailure);
+  EXPECT_THROW(json::Value::Number(1e19).AsInt(), CheckFailure);
+  EXPECT_THROW(json::Value::Number(2.5).AsInt(), CheckFailure);
 }
 
 }  // namespace

@@ -11,8 +11,7 @@
 #include "fault/plan.h"
 #include "sim/simulator.h"
 #include "topology/topology.h"
-#include "workload/generators.h"
-#include "workload/google_trace.h"
+#include "workload/workload.h"
 
 namespace draconis {
 namespace {
@@ -28,12 +27,11 @@ cluster::ExperimentConfig MakeConfig(uint64_t seed) {
   config.max_tasks_per_packet = 1;
   config.seed = seed;
 
-  workload::OpenLoopSpec spec;
-  spec.tasks_per_second = 0.6 * 16 / 100e-6;
-  spec.duration = config.horizon;
-  spec.service = workload::ServiceTime::PaperExponential();
-  spec.seed = seed;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = 0.6 * 16 / 100e-6;
+  config.workload.duration = config.horizon;
+  config.workload.service = workload::ServiceTime::PaperExponential();
+  config.workload.seed = seed;
   return config;
 }
 
@@ -69,12 +67,14 @@ TEST(DeterminismTest, DifferentSeedsDifferButAgreeStatistically) {
 }
 
 TEST(DeterminismTest, GoogleTraceGenerationIsSeedStable) {
-  workload::GoogleTraceSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kGoogleTrace;
+  spec.tasks_per_second = 200000.0;
   spec.duration = FromMillis(50);
   spec.priority_levels = 4;
   spec.seed = 33;
-  workload::JobStream a = workload::GenerateGoogleTrace(spec);
-  workload::JobStream b = workload::GenerateGoogleTrace(spec);
+  workload::JobStream a = spec.Generate();
+  workload::JobStream b = spec.Generate();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     ASSERT_EQ(a[i].at, b[i].at);
@@ -94,7 +94,7 @@ TEST(DeterminismTest, ParallelPriorityStagesMatchProbingResults) {
     cluster::ExperimentConfig config = MakeConfig(9);
     config.policy = cluster::PolicyKind::kPriority;
     config.priority_levels = 4;
-    workload::TagPriorities(config.stream, {1, 1, 1, 1}, 4);
+    config.workload.taggers.push_back(workload::TaggerStage::Priority({1, 1, 1, 1}, 4));
     // (parallel stages require the shadow-copy dequeue, the default)
     config.parallel_priority_stages = parallel;
     return cluster::RunExperiment(config);
@@ -127,13 +127,12 @@ cluster::ExperimentConfig Fig05aMiniConfig() {
   config.timeout_multiplier = 5.0;
   config.seed = 42;
 
-  workload::OpenLoopSpec spec;
-  spec.tasks_per_second = 100e3 * 16.0 / 160.0;  // the 100 ktps point, scaled
-  spec.duration = config.horizon;
-  spec.tasks_per_job = 10;
-  spec.service = workload::ServiceTime::Fixed(FromMicros(500));
-  spec.seed = config.seed;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = 100e3 * 16.0 / 160.0;  // the 100 ktps point, scaled
+  config.workload.duration = config.horizon;
+  config.workload.tasks_per_job = 10;
+  config.workload.service = workload::ServiceTime::Fixed(FromMicros(500));
+  config.workload.seed = config.seed;
   return config;
 }
 
@@ -282,13 +281,14 @@ TEST(DeterminismTest, NonDefaultSwitchPoliciesReplayBitIdentically) {
     config.wfq_weights = {3, 1};
     switch (policy) {
       case core::SwitchPolicy::kStrictPriority:
-        workload::TagPriorities(config.stream, {1, 2, 3, 4}, 11);
+        config.workload.taggers.push_back(workload::TaggerStage::Priority({1, 2, 3, 4}, 11));
         break;
       case core::SwitchPolicy::kEdf:
-        workload::TagDeadlines(config.stream, /*slack=*/3.0, /*jitter_us=*/200, 12);
+        config.workload.taggers.push_back(
+            workload::TaggerStage::Deadline(/*slack=*/3.0, /*jitter_us=*/200, 12));
         break;
       case core::SwitchPolicy::kWfq:
-        workload::TagTenants(config.stream, /*num_tenants=*/2, 13);
+        config.workload.taggers.push_back(workload::TaggerStage::Tenant(/*num_tenants=*/2, 13));
         break;
       default:
         break;

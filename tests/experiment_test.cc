@@ -8,9 +8,10 @@
 
 #include "cluster/deployment.h"
 #include "cluster/experiment.h"
+#include "cluster/feeder.h"
 #include "common/check.h"
 #include "topology/topology.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 namespace draconis::cluster {
 namespace {
@@ -25,12 +26,11 @@ ExperimentConfig TinyConfig(double tasks_per_second = 40000.0) {
   config.horizon = FromMillis(20);
   config.max_tasks_per_packet = 1;
 
-  workload::OpenLoopSpec spec;
-  spec.tasks_per_second = tasks_per_second;
-  spec.duration = config.horizon;
-  spec.service = workload::ServiceTime::Fixed(FromMicros(100));
-  spec.seed = 3;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = tasks_per_second;
+  config.workload.duration = config.horizon;
+  config.workload.service = workload::ServiceTime::Fixed(FromMicros(100));
+  config.workload.seed = 3;
   return config;
 }
 
@@ -105,14 +105,7 @@ TEST(ExperimentTest, PipelineOverridesAreHonored) {
   config.pipeline.recirc_rate_pps = 1e3;
   config.pipeline.recirc_queue_depth = 1;
   ExperimentConfig heavy = config;
-  heavy.stream = [] {
-    workload::OpenLoopSpec spec;
-    spec.tasks_per_second = 76000.0;  // ~95% of 8 executors
-    spec.duration = FromMillis(20);
-    spec.service = workload::ServiceTime::Fixed(FromMicros(100));
-    spec.seed = 3;
-    return workload::GenerateOpenLoop(spec);
-  }();
+  heavy.workload.tasks_per_second = 76000.0;  // ~95% of 8 executors
   ExperimentResult result = RunExperiment(heavy);
   EXPECT_GT(result.recirc_drops, 0u);
 }
@@ -327,6 +320,43 @@ TEST(ValidateTest, RunExperimentRefusesInvalidConfigs) {
   ExperimentConfig config = TinyConfig();
   config.num_workers = 0;
   EXPECT_THROW(RunExperiment(config), draconis::CheckFailure);
+}
+
+TEST(FeederRunTest, HandBuiltStreamMatchesTheSpecRun) {
+  // RunExperiment(config) is "generate, feed": replaying the same stream
+  // through a caller-owned Feeder gives the same run, bit for bit.
+  const ExperimentConfig config = TinyConfig();
+  const ExperimentResult spec_run = RunExperiment(config);
+  const workload::JobStream stream = config.workload.Generate();
+  ExperimentConfig bare = config;
+  bare.workload = {};
+  Feeder feeder(&stream);
+  const ExperimentResult feeder_run = RunExperiment(bare, feeder);
+  EXPECT_EQ(feeder_run.metrics->tasks_submitted(), spec_run.metrics->tasks_submitted());
+  EXPECT_EQ(feeder_run.metrics->tasks_completed(), spec_run.metrics->tasks_completed());
+  EXPECT_EQ(feeder_run.switch_counters.passes, spec_run.switch_counters.passes);
+  EXPECT_EQ(feeder_run.metrics->sched_delay().Percentile(0.99),
+            spec_run.metrics->sched_delay().Percentile(0.99));
+  EXPECT_EQ(feeder_run.offered_utilization, spec_run.offered_utilization);
+}
+
+TEST(FeederRunTest, WarmupIsCheckedAgainstTheFeedersLastArrival) {
+  // No spec and no explicit horizon: the horizon is the stream's last
+  // arrival + 50 ms, so a 60 ms warmup fits a 100 ms stream...
+  ExperimentConfig config = TinyConfig();
+  config.workload.duration = FromMillis(100);
+  const workload::JobStream stream = config.workload.Generate();
+  config.workload = {};
+  config.horizon = 0;
+  config.warmup = FromMillis(60);
+  EXPECT_EQ(config.Validate(), "");
+  Feeder feeder(&stream);
+  EXPECT_GT(RunExperiment(config, feeder).metrics->tasks_completed(), 0u);
+
+  // ...but not an empty one.
+  const workload::JobStream empty;
+  Feeder empty_feeder(&empty);
+  EXPECT_THROW(RunExperiment(config, empty_feeder), CheckFailure);
 }
 
 // --- Deployment registry -----------------------------------------------------

@@ -182,6 +182,34 @@ TEST(FaultPlanJsonTest, RejectsMalformedPlans) {
   }
 }
 
+TEST(FaultPlanJsonTest, RejectsNonIntegralAndOutOfRangeIntegers) {
+  const std::vector<BadPlanCase> cases = {
+      // 2^32 - 1 must not wrap to -1 ("every executor").
+      {R"({"events": [{"kind": "node_crash", "start": 0,
+                       "target": {"role": "executor", "index": 4294967295}}]})",
+       "target.index must be an integer in [-1, 2147483647]"},
+      {R"({"events": [{"kind": "node_crash", "start": 0,
+                       "target": {"role": "executor", "index": 0.5}}]})",
+       "target.index must be an integer"},
+      {R"({"events": [{"kind": "scheduler_failover", "start": 1.5}]})",
+       "event 0.start must be an integer"},
+      {R"({"events": [{"kind": "scheduler_failover", "start": 1e19}]})",
+       "event 0.start must be an integer"},
+      {R"({"events": [{"kind": "latency_degrade", "start": 0, "extra_latency": 2.5}]})",
+       "event 0.extra_latency must be an integer"},
+      {R"({"schema_version": 1.5, "events": []})", "unsupported fault plan schema_version"},
+  };
+  for (const BadPlanCase& c : cases) {
+    FaultPlan plan;
+    std::string error;
+    bool parsed = true;
+    EXPECT_NO_THROW(parsed = FaultPlan::FromJson(c.text, &plan, &error)) << c.text;
+    EXPECT_FALSE(parsed) << c.text;
+    EXPECT_NE(error.find(c.expected_error), std::string::npos)
+        << "input: " << c.text << "\nerror: " << error;
+  }
+}
+
 TEST(FaultPlanJsonTest, CheckedInExamplePlanIsValid) {
   FaultPlan plan;
   std::string error;

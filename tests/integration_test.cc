@@ -5,13 +5,19 @@
 #include <gtest/gtest.h>
 
 #include "cluster/experiment.h"
-#include "workload/generators.h"
+#include "cluster/feeder.h"
+#include "workload/workload.h"
 
 namespace draconis::cluster {
 namespace {
 
-using workload::GenerateOpenLoop;
-using workload::OpenLoopSpec;
+// Runs a hand-edited stream (drawn from config.workload) through a Feeder;
+// the config then carries no spec of its own.
+ExperimentResult RunStream(ExperimentConfig config, const workload::JobStream& stream) {
+  config.workload = {};
+  Feeder feeder(&stream);
+  return RunExperiment(config, feeder);
+}
 
 ExperimentConfig SmallCluster(SchedulerKind kind, double tasks_per_second,
                               TimeNs task_duration = FromMicros(100)) {
@@ -22,12 +28,11 @@ ExperimentConfig SmallCluster(SchedulerKind kind, double tasks_per_second,
   config.num_clients = 2;
   config.warmup = FromMillis(5);
 
-  OpenLoopSpec spec;
-  spec.tasks_per_second = tasks_per_second;
-  spec.duration = FromMillis(40);
-  spec.service = workload::ServiceTime::Fixed(task_duration);
-  spec.seed = 9;
-  config.stream = GenerateOpenLoop(spec);
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = tasks_per_second;
+  config.workload.duration = FromMillis(40);
+  config.workload.service = workload::ServiceTime::Fixed(task_duration);
+  config.workload.seed = 9;
   config.horizon = FromMillis(40);
   return config;
 }
@@ -46,13 +51,12 @@ ExperimentConfig PaperCluster(SchedulerKind kind, double tasks_per_second,
   config.warmup = FromMillis(5);
   config.max_tasks_per_packet = 1;
 
-  OpenLoopSpec spec;
-  spec.tasks_per_second = tasks_per_second;
-  spec.duration = FromMillis(40);
-  spec.tasks_per_job = tasks_per_job;
-  spec.service = workload::ServiceTime::Fixed(task_duration);
-  spec.seed = 9;
-  config.stream = GenerateOpenLoop(spec);
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = tasks_per_second;
+  config.workload.duration = FromMillis(40);
+  config.workload.tasks_per_job = tasks_per_job;
+  config.workload.service = workload::ServiceTime::Fixed(task_duration);
+  config.workload.seed = 9;
   config.horizon = FromMillis(40);
   return config;
 }
@@ -161,13 +165,10 @@ TEST(IntegrationServer, SocketServerSaturatesBelowDpdkServer) {
   for (auto [kind, lo, hi] :
        {std::tuple{SchedulerKind::kDraconisDpdkServer, 700e3, 2e6},
         std::tuple{SchedulerKind::kDraconisSocketServer, 100e3, 450e3}}) {
-    ExperimentConfig config = PaperCluster(kind, 1.0, 0);  // stream replaced below
-    OpenLoopSpec spec;
-    spec.tasks_per_second = 4e6;  // far beyond both servers' capacity
-    spec.duration = FromMillis(40);
-    spec.tasks_per_job = 64;  // batched submissions, as a framework would
-    spec.service = workload::ServiceTime::Fixed(0);
-    config.stream = GenerateOpenLoop(spec);
+    ExperimentConfig config = PaperCluster(kind, 1.0, 0);  // workload replaced below
+    config.workload.tasks_per_second = 4e6;  // far beyond both servers' capacity
+    config.workload.tasks_per_job = 64;  // batched submissions, as a framework would
+    config.workload.seed = 42;
     config.max_tasks_per_packet = 0;  // MTU-sized batches, not 1-task trains
     config.noop_executors = true;
     config.horizon = FromMillis(40);
@@ -191,7 +192,7 @@ TEST(IntegrationDraconis, PriorityPolicyEndToEnd) {
   ExperimentConfig config = SmallCluster(SchedulerKind::kDraconis, 140000.0);
   config.policy = PolicyKind::kPriority;
   config.priority_levels = 4;
-  workload::TagPriorities(config.stream, {0.1, 0.2, 0.3, 0.4}, 3);
+  config.workload.taggers.push_back(workload::TaggerStage::Priority({0.1, 0.2, 0.3, 0.4}, 3));
   ExperimentResult result = RunExperiment(config);
   ASSERT_GT(result.metrics->tasks_completed(), 1000u);
   // Under load, high-priority queueing delay must not exceed low-priority.
@@ -206,7 +207,8 @@ TEST(IntegrationDraconis, LocalityPolicyImprovesPlacement) {
     config.policy = policy;
     config.num_racks = 2;
     config.locality_access_model = true;
-    workload::TagLocality(config.stream, static_cast<uint32_t>(config.num_workers), 17);
+    config.workload.taggers.push_back(
+        workload::TaggerStage::Locality(static_cast<uint32_t>(config.num_workers), 17));
     return config;
   };
   ExperimentResult fcfs = RunExperiment(make(PolicyKind::kFcfs));
@@ -230,14 +232,15 @@ TEST(IntegrationDraconis, ResourcePolicyRespectsHardConstraints) {
   config.policy = PolicyKind::kResource;
   config.worker_resources = {0b001, 0b011, 0b111, 0b111};
   // All tasks require resource C (bit 2): only workers 2 and 3 qualify.
-  for (auto& job : config.stream) {
+  workload::JobStream stream = config.workload.Generate();
+  for (auto& job : stream) {
     for (auto& task : job.tasks) {
       task.tprops = 0b100;
     }
   }
   config.run_to_completion = true;
   config.horizon = FromSeconds(2);
-  ExperimentResult result = RunExperiment(config);
+  ExperimentResult result = RunStream(config, stream);
   ASSERT_GT(result.metrics->tasks_completed(), 100u);
   // Workers 0 and 1 must have executed nothing.
   size_t forbidden = 0;
@@ -257,13 +260,14 @@ TEST(IntegrationClient, PacketLossIsRecoveredByTimeoutResubmission) {
   config.run_to_completion = true;
   config.horizon = FromSeconds(5);
   // Shrink the stream so the test stays fast.
-  config.stream.resize(200);
+  workload::JobStream stream = config.workload.Generate();
+  stream.resize(200);
 
   // RunExperiment owns the network, so inject loss indirectly: run with a
   // tiny queue that bounces submissions instead. Queue capacity 1 forces
   // constant full-queue errors and retries.
   config.queue_capacity = 1;
-  ExperimentResult result = RunExperiment(config);
+  ExperimentResult result = RunStream(config, stream);
   EXPECT_EQ(result.metrics->tasks_completed(), result.metrics->tasks_submitted());
   EXPECT_GT(result.metrics->queue_full_retries() + result.metrics->timeout_resubmissions(), 0u);
 }

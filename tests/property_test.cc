@@ -10,9 +10,10 @@
 #include <vector>
 
 #include "cluster/experiment.h"
+#include "cluster/feeder.h"
 #include "common/rng.h"
 #include "core/switch_queue.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 namespace draconis {
 namespace {
@@ -253,12 +254,11 @@ TEST_P(ConservationTest, EveryTaskCompletesExactlyOnce) {
   config.run_to_completion = true;
   config.max_tasks_per_packet = 1;
 
-  workload::OpenLoopSpec spec;
-  spec.tasks_per_second = param.utilization * 16 / 100e-6;
-  spec.duration = FromMillis(20);
-  spec.service = workload::ServiceTime::Fixed(FromMicros(100));
-  spec.seed = 1234;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = param.utilization * 16 / 100e-6;
+  config.workload.duration = FromMillis(20);
+  config.workload.service = workload::ServiceTime::Fixed(FromMicros(100));
+  config.workload.seed = 1234;
 
   cluster::ExperimentResult result = cluster::RunExperiment(config);
   EXPECT_GE(result.drain_time, 0) << "cluster did not drain";
@@ -310,33 +310,30 @@ TEST_P(PolicyDisciplineTest, NoRegisterViolationsUnderLoad) {
   config.locality_access_model = config.policy == cluster::PolicyKind::kLocality;
   config.timeout_multiplier = 10.0;
 
-  workload::OpenLoopSpec spec;
+  workload::WorkloadSpec spec;
+  spec.arrival = workload::ArrivalKind::kOpenLoop;
   spec.tasks_per_second = 0.7 * 24 / 100e-6;
   spec.duration = FromMillis(30);
   spec.service = workload::ServiceTime::Fixed(FromMicros(100));
   spec.seed = 5;
-  config.stream = workload::GenerateOpenLoop(spec);
-  switch (config.policy) {
-    case cluster::PolicyKind::kPriority:
-      workload::TagPriorities(config.stream, {1, 2, 3, 4}, 6);
-      break;
-    case cluster::PolicyKind::kLocality:
-      workload::TagLocality(config.stream, 6, 7);
-      break;
-    case cluster::PolicyKind::kResource:
-      for (auto& job : config.stream) {
-        for (auto& task : job.tasks) {
-          task.tprops = 1u << (task.fn_id % 3);
-        }
+  if (config.policy == cluster::PolicyKind::kPriority) {
+    spec.taggers.push_back(workload::TaggerStage::Priority({1, 2, 3, 4}, 6));
+  } else if (config.policy == cluster::PolicyKind::kLocality) {
+    spec.taggers.push_back(workload::TaggerStage::Locality(6, 7));
+  }
+  workload::JobStream stream = spec.Generate();
+  if (config.policy == cluster::PolicyKind::kResource) {
+    for (auto& job : stream) {
+      for (auto& task : job.tasks) {
+        task.tprops = 1u << (task.fn_id % 3);
       }
-      break;
-    default:
-      break;
+    }
   }
 
   // A register-discipline violation throws CheckFailure out of RunExperiment.
+  cluster::Feeder feeder(&stream);
   EXPECT_NO_THROW({
-    cluster::ExperimentResult result = cluster::RunExperiment(config);
+    cluster::ExperimentResult result = cluster::RunExperiment(config, feeder);
     EXPECT_GT(result.metrics->tasks_completed(), 0u);
   });
 }

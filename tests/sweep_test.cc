@@ -13,7 +13,7 @@
 
 #include "sweep/report.h"
 #include "sweep/sweep.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 namespace draconis::sweep {
 namespace {
@@ -160,13 +160,12 @@ TEST(SweepTest, ParallelMatchesSerialBitForBit) {
       config.timeout_multiplier = 5.0;
       config.jbsq_k = 3;
       config.seed = 42;
-      workload::OpenLoopSpec stream;
-      stream.tasks_per_second = load * 1000.0;
-      stream.duration = config.horizon;
-      stream.tasks_per_job = 10;
-      stream.service = service;
-      stream.seed = 42;
-      config.stream = workload::GenerateOpenLoop(stream);
+      config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+      config.workload.tasks_per_second = load * 1000.0;
+      config.workload.duration = config.horizon;
+      config.workload.tasks_per_job = 10;
+      config.workload.service = service;
+      config.workload.seed = 42;
       point.config = std::move(config);
       spec.points.push_back(std::move(point));
     }
@@ -301,12 +300,11 @@ TEST(SweepReportTest, ResultJsonIncludesHistograms) {
   config.warmup = FromMillis(1);
   config.horizon = FromMillis(5);
   config.max_tasks_per_packet = 1;
-  workload::OpenLoopSpec stream;
-  stream.tasks_per_second = 30000.0;
-  stream.duration = config.horizon;
-  stream.service = service;
-  stream.seed = 5;
-  config.stream = workload::GenerateOpenLoop(stream);
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = 30000.0;
+  config.workload.duration = config.horizon;
+  config.workload.service = service;
+  config.workload.seed = 5;
   const ExperimentResult result = cluster::RunExperiment(config);
   const std::string doc = ToJson(result);
   EXPECT_NE(doc.find("\"sched_delay\""), std::string::npos);

@@ -24,7 +24,7 @@
 #include "sim/simulator.h"
 #include "trace/export.h"
 #include "trace/recorder.h"
-#include "workload/generators.h"
+#include "workload/workload.h"
 
 namespace draconis {
 namespace {
@@ -147,13 +147,12 @@ cluster::ExperimentConfig TracedConfig() {
   config.trace.enabled = true;
   config.trace.sample_period = 1;
 
-  workload::OpenLoopSpec spec;
-  spec.tasks_per_second = 0.5 * 16 / 100e-6;
-  spec.duration = config.horizon;
-  spec.tasks_per_job = 10;
-  spec.service = workload::ServiceTime::Fixed(FromMicros(100));
-  spec.seed = config.seed;
-  config.stream = workload::GenerateOpenLoop(spec);
+  config.workload.arrival = workload::ArrivalKind::kOpenLoop;
+  config.workload.tasks_per_second = 0.5 * 16 / 100e-6;
+  config.workload.duration = config.horizon;
+  config.workload.tasks_per_job = 10;
+  config.workload.service = workload::ServiceTime::Fixed(FromMicros(100));
+  config.workload.seed = config.seed;
   return config;
 }
 

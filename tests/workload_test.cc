@@ -8,13 +8,18 @@
 
 #include "common/json.h"
 #include "common/rng.h"
-#include "workload/generators.h"
-#include "workload/google_trace.h"
 #include "workload/service_time.h"
 #include "workload/workload.h"
 
 namespace draconis::workload {
 namespace {
+
+// A default spec driven by `arrival`.
+WorkloadSpec Spec(ArrivalKind arrival) {
+  WorkloadSpec spec;
+  spec.arrival = arrival;
+  return spec;
+}
 
 // --- ServiceTime -------------------------------------------------------------
 
@@ -85,19 +90,19 @@ TEST(ServiceTimeTest, LabelsAreInformative) {
 // --- Open-loop generator -------------------------------------------------------
 
 TEST(OpenLoopTest, RateIsRespected) {
-  OpenLoopSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kOpenLoop);
   spec.tasks_per_second = 200000.0;
   spec.duration = FromMillis(500);
   spec.seed = 6;
-  JobStream stream = GenerateOpenLoop(spec);
+  JobStream stream = spec.Generate();
   const double rate = static_cast<double>(TotalTasks(stream)) / ToSeconds(spec.duration);
   EXPECT_NEAR(rate, 200000.0, 6000.0);
 }
 
 TEST(OpenLoopTest, ArrivalsSortedWithinDuration) {
-  OpenLoopSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kOpenLoop);
   spec.duration = FromMillis(50);
-  JobStream stream = GenerateOpenLoop(spec);
+  JobStream stream = spec.Generate();
   ASSERT_FALSE(stream.empty());
   TimeNs prev = 0;
   for (const JobArrival& job : stream) {
@@ -108,21 +113,21 @@ TEST(OpenLoopTest, ArrivalsSortedWithinDuration) {
 }
 
 TEST(OpenLoopTest, BatchedJobs) {
-  OpenLoopSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kOpenLoop);
   spec.tasks_per_job = 10;
   spec.duration = FromMillis(20);
-  JobStream stream = GenerateOpenLoop(spec);
+  JobStream stream = spec.Generate();
   for (const JobArrival& job : stream) {
     EXPECT_EQ(job.tasks.size(), 10u);
   }
 }
 
 TEST(OpenLoopTest, Deterministic) {
-  OpenLoopSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kOpenLoop);
   spec.seed = 77;
   spec.duration = FromMillis(10);
-  JobStream a = GenerateOpenLoop(spec);
-  JobStream b = GenerateOpenLoop(spec);
+  JobStream a = spec.Generate();
+  JobStream b = spec.Generate();
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].at, b[i].at);
@@ -130,11 +135,11 @@ TEST(OpenLoopTest, Deterministic) {
 }
 
 TEST(OpenLoopTest, TotalWorkMatchesMeanService) {
-  OpenLoopSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kOpenLoop);
   spec.tasks_per_second = 100000.0;
   spec.duration = FromMillis(200);
   spec.service = ServiceTime::Fixed(FromMicros(100));
-  JobStream stream = GenerateOpenLoop(spec);
+  JobStream stream = spec.Generate();
   EXPECT_EQ(TotalWork(stream),
             static_cast<TimeNs>(TotalTasks(stream)) * FromMicros(100));
 }
@@ -142,11 +147,11 @@ TEST(OpenLoopTest, TotalWorkMatchesMeanService) {
 // --- Taggers -------------------------------------------------------------------
 
 TEST(TaggerTest, LocalityCoversAllNodesRoughlyEvenly) {
-  OpenLoopSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kOpenLoop);
   spec.duration = FromMillis(200);
   spec.tasks_per_second = 100000.0;
-  JobStream stream = GenerateOpenLoop(spec);
-  TagLocality(stream, 10, 9);
+  spec.taggers.push_back(TaggerStage::Locality(10, 9));
+  JobStream stream = spec.Generate();
   std::map<uint32_t, int> counts;
   for (const auto& job : stream) {
     for (const auto& task : job.tasks) {
@@ -162,11 +167,11 @@ TEST(TaggerTest, LocalityCoversAllNodesRoughlyEvenly) {
 }
 
 TEST(TaggerTest, PriorityMixMatchesFractions) {
-  OpenLoopSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kOpenLoop);
   spec.duration = FromMillis(400);
   spec.tasks_per_second = 100000.0;
-  JobStream stream = GenerateOpenLoop(spec);
-  TagPriorities(stream, PaperPriorityMix(), 4);
+  spec.taggers.push_back(TaggerStage::Priority(PaperPriorityMix(), 4));
+  JobStream stream = spec.Generate();
   std::map<uint32_t, double> counts;
   for (const auto& job : stream) {
     for (const auto& task : job.tasks) {
@@ -184,10 +189,11 @@ TEST(TaggerTest, PriorityMixMatchesFractions) {
 // --- Resource phases -------------------------------------------------------------
 
 TEST(ResourcePhasesTest, ThreePhasesWithEscalatingBits) {
-  ResourcePhasesSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kPhased);
   spec.phase_duration = FromMillis(100);
   spec.tasks_per_second = 50000.0;
-  JobStream stream = GenerateResourcePhases(spec);
+  spec.service = ServiceTime::Fixed(FromMillis(10));
+  JobStream stream = spec.Generate();
   ASSERT_FALSE(stream.empty());
   for (const JobArrival& job : stream) {
     const auto phase = static_cast<uint32_t>(job.at / spec.phase_duration);
@@ -200,34 +206,34 @@ TEST(ResourcePhasesTest, ThreePhasesWithEscalatingBits) {
 // --- Google-like trace -------------------------------------------------------------
 
 TEST(GoogleTraceTest, MeanRateAndDuration) {
-  GoogleTraceSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kGoogleTrace);
   spec.duration = FromSeconds(1);
-  spec.mean_tasks_per_second = 100000.0;
+  spec.tasks_per_second = 100000.0;
   spec.seed = 12;
-  JobStream stream = GenerateGoogleTrace(spec);
+  JobStream stream = spec.Generate();
   const double rate = static_cast<double>(TotalTasks(stream)) / 1.0;
   EXPECT_NEAR(rate, 100000.0, 15000.0);
 }
 
 TEST(GoogleTraceTest, TaskDurationsAverageToTarget) {
-  GoogleTraceSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kGoogleTrace);
   spec.duration = FromSeconds(1);
-  spec.mean_tasks_per_second = 100000.0;
+  spec.tasks_per_second = 100000.0;
   spec.mean_task_duration = FromMicros(500);
   spec.seed = 13;
-  JobStream stream = GenerateGoogleTrace(spec);
+  JobStream stream = spec.Generate();
   const double mean =
       static_cast<double>(TotalWork(stream)) / static_cast<double>(TotalTasks(stream));
   EXPECT_NEAR(mean, static_cast<double>(FromMicros(500)), FromMicros(40));
 }
 
 TEST(GoogleTraceTest, IsBursty) {
-  GoogleTraceSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kGoogleTrace);
   spec.duration = FromSeconds(1);
-  spec.mean_tasks_per_second = 100000.0;
+  spec.tasks_per_second = 100000.0;
   spec.max_job_size = 300;
   spec.seed = 14;
-  JobStream stream = GenerateGoogleTrace(spec);
+  JobStream stream = spec.Generate();
   size_t biggest = 0;
   for (const auto& job : stream) {
     biggest = std::max(biggest, job.tasks.size());
@@ -238,11 +244,12 @@ TEST(GoogleTraceTest, IsBursty) {
 }
 
 TEST(GoogleTraceTest, PriorityTaggingOptional) {
-  GoogleTraceSpec spec;
+  WorkloadSpec spec = Spec(ArrivalKind::kGoogleTrace);
+  spec.tasks_per_second = 200000.0;
   spec.duration = FromMillis(200);
   spec.priority_levels = 4;
   spec.seed = 15;
-  JobStream stream = GenerateGoogleTrace(spec);
+  JobStream stream = spec.Generate();
   for (const auto& job : stream) {
     for (const auto& task : job.tasks) {
       ASSERT_GE(task.tprops, 1u);
@@ -366,52 +373,6 @@ TEST(WorkloadSpecTest, GenerateIsDeterministic) {
   ExpectStreamsEqual(spec.Generate(), spec.Generate());
 }
 
-TEST(WorkloadSpecTest, OpenLoopMatchesLegacyGeneratorBitForBit) {
-  // The determinism contract (docs/workloads.md): the declarative spec
-  // delegates to the same engines with the same per-domain seeds, so every
-  // pre-existing bench's stream is byte-identical to the pre-spec plumbing.
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kOpenLoop;
-  spec.tasks_per_second = 120000.0;
-  spec.duration = FromMillis(25);
-  spec.tasks_per_job = 10;
-  spec.service = ServiceTime::PaperTrimodal();
-  spec.seed = 42;
-  spec.taggers.push_back(TaggerStage::Locality(10, 17));
-  spec.taggers.push_back(TaggerStage::Priority(PaperPriorityMix(), 18));
-
-  OpenLoopSpec legacy;
-  legacy.tasks_per_second = 120000.0;
-  legacy.duration = FromMillis(25);
-  legacy.tasks_per_job = 10;
-  legacy.service = ServiceTime::PaperTrimodal();
-  legacy.seed = 42;
-  JobStream expected = GenerateOpenLoop(legacy);
-  TagLocality(expected, 10, 17);
-  TagPriorities(expected, PaperPriorityMix(), 18);
-
-  ExpectStreamsEqual(spec.Generate(), expected);
-}
-
-TEST(WorkloadSpecTest, GoogleTraceMatchesLegacyGeneratorBitForBit) {
-  WorkloadSpec spec;
-  spec.arrival = ArrivalKind::kGoogleTrace;
-  spec.tasks_per_second = 80000.0;
-  spec.duration = FromMillis(300);
-  spec.mean_task_duration = FromMicros(500);
-  spec.priority_levels = 4;
-  spec.seed = 2024;
-
-  GoogleTraceSpec legacy;
-  legacy.mean_tasks_per_second = 80000.0;
-  legacy.duration = FromMillis(300);
-  legacy.mean_task_duration = FromMicros(500);
-  legacy.priority_levels = 4;
-  legacy.seed = 2024;
-
-  ExpectStreamsEqual(spec.Generate(), GenerateGoogleTrace(legacy));
-}
-
 TEST(WorkloadSpecTest, JsonRoundTripReproducesTheSpec) {
   WorkloadSpec spec;
   spec.arrival = ArrivalKind::kGoogleTrace;
@@ -454,6 +415,43 @@ TEST(WorkloadSpecTest, OpenLoopJsonRoundTripKeepsServiceModel) {
   EXPECT_EQ(parsed.ToJson(), text);
 }
 
+TEST(WorkloadSpecTest, FromJsonRejectsNonIntegralAndOutOfRangeIntegers) {
+  struct Case {
+    const char* text;
+    const char* expected_error;  // substring
+  };
+  const std::vector<Case> cases = {
+      {R"({"arrival": "open-loop", "tasks_per_job": -1})",
+       "workload: tasks_per_job must be an integer in [0, 4294967295]"},
+      {R"({"arrival": "google-trace", "max_job_size": -1})",
+       "workload: max_job_size must be an integer in [0, 4294967295]"},
+      {R"({"arrival": "open-loop", "duration_ns": 1.5})",
+       "workload: duration_ns must be an integer"},
+      {R"({"arrival": "open-loop", "seed": 1e19})", "workload: seed must be an integer"},
+      {R"({"arrival": "open-loop", "seed": -1})", "workload: seed must be an integer"},
+      {R"({"arrival": "open-loop",
+           "taggers": [{"stage": "locality", "num_nodes": 4294967296, "seed": 1}]})",
+       "locality tagger: num_nodes must be an integer"},
+      {R"({"arrival": "open-loop",
+           "taggers": [{"stage": "deadline", "slack": 3, "jitter_us": 0.5, "seed": 1}]})",
+       "deadline tagger: jitter_us must be an integer"},
+      {R"({"arrival": "open-loop", "taggers": [{"stage": "tenant", "num_tenants": 2,
+           "seed": -1}]})",
+       "tagger: seed must be an integer"},
+  };
+  for (const Case& c : cases) {
+    json::Value value;
+    std::string error;
+    ASSERT_TRUE(json::Parse(c.text, &value, &error)) << error;
+    WorkloadSpec parsed;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = WorkloadSpec::FromJson(value, &parsed, &error)) << c.text;
+    EXPECT_FALSE(ok) << c.text;
+    EXPECT_NE(error.find(c.expected_error), std::string::npos)
+        << "input: " << c.text << "\nerror: " << error;
+  }
+}
+
 TEST(WorkloadSpecTest, FromNameSelectsTheArrivalProcess) {
   WorkloadSpec spec;
   std::string error;
@@ -475,6 +473,93 @@ TEST(WorkloadSpecTest, ValidateCatchesBadSpecs) {
   EXPECT_EQ(spec.Validate(), "");
   spec.taggers.push_back(TaggerStage::Locality(0, 1));  // zero nodes
   EXPECT_NE(spec.Validate(), "");
+}
+
+// --- Exact-stream pins -----------------------------------------------------------
+
+// Job count, task count and an FNV-1a hash over every task's
+// (arrival, duration, tprops, fn_id), folded little-endian one byte at a time.
+struct StreamFingerprint {
+  size_t jobs = 0;
+  size_t tasks = 0;
+  uint64_t hash = 0xcbf29ce484222325ull;
+};
+
+StreamFingerprint Fingerprint(const JobStream& stream) {
+  StreamFingerprint fp;
+  const auto fold = [&fp](uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      fp.hash ^= (value >> (8 * byte)) & 0xffu;
+      fp.hash *= 0x100000001b3ull;
+    }
+  };
+  fp.jobs = stream.size();
+  for (const JobArrival& job : stream) {
+    for (const TaskSpec& task : job.tasks) {
+      ++fp.tasks;
+      fold(static_cast<uint64_t>(job.at));
+      fold(static_cast<uint64_t>(task.duration));
+      fold(task.tprops);
+      fold(task.fn_id);
+    }
+  }
+  return fp;
+}
+
+void ExpectFingerprint(const WorkloadSpec& spec, size_t jobs, size_t tasks, uint64_t hash) {
+  const StreamFingerprint fp = Fingerprint(spec.Generate());
+  EXPECT_EQ(fp.jobs, jobs);
+  EXPECT_EQ(fp.tasks, tasks);
+  EXPECT_EQ(fp.hash, hash) << "0x" << std::hex << fp.hash;
+}
+
+// Pinned streams: any change to an arrival engine, a tagger, or the order of
+// their RNG draws shows up here before it reaches a simulation golden.
+TEST(WorkloadPinTest, OpenLoopWithLocalityAndPriorityTaggers) {
+  WorkloadSpec spec;
+  spec.arrival = ArrivalKind::kOpenLoop;
+  spec.tasks_per_second = 120000.0;
+  spec.duration = FromMillis(25);
+  spec.tasks_per_job = 10;
+  spec.service = ServiceTime::PaperTrimodal();
+  spec.seed = 42;
+  spec.taggers.push_back(TaggerStage::Locality(10, 17));
+  spec.taggers.push_back(TaggerStage::Priority(PaperPriorityMix(), 18));
+  ExpectFingerprint(spec, 271, 2710, 0xa83671f95ace825aull);
+}
+
+TEST(WorkloadPinTest, Phased) {
+  WorkloadSpec spec;
+  spec.arrival = ArrivalKind::kPhased;
+  spec.tasks_per_second = 50000.0;
+  spec.phase_duration = FromMillis(10);
+  spec.service = ServiceTime::PaperBimodal();
+  spec.seed = 5;
+  ExpectFingerprint(spec, 1459, 1459, 0xa42343c6937e9541ull);
+}
+
+TEST(WorkloadPinTest, GoogleTraceWithPriorityLevels) {
+  WorkloadSpec spec;
+  spec.arrival = ArrivalKind::kGoogleTrace;
+  spec.tasks_per_second = 80000.0;
+  spec.duration = FromMillis(300);
+  spec.mean_task_duration = FromMicros(500);
+  spec.priority_levels = 4;
+  spec.seed = 2024;
+  ExpectFingerprint(spec, 7514, 24546, 0xd49c60dc19d76f0cull);
+}
+
+TEST(WorkloadPinTest, HeavyTailOpenLoopWithDeadlineAndTenantTaggers) {
+  WorkloadSpec spec;
+  spec.arrival = ArrivalKind::kOpenLoop;
+  spec.tasks_per_second = 100000.0;
+  spec.duration = FromMillis(20);
+  spec.tasks_per_job = 4;
+  spec.service = ServiceTime::HeavyTail(ServiceTime::Pareto(FromMicros(250), 1.3), 0.01, 10.0);
+  spec.seed = 99;
+  spec.taggers.push_back(TaggerStage::Deadline(3.0, 200, 11));
+  spec.taggers.push_back(TaggerStage::Tenant(3, 12));
+  ExpectFingerprint(spec, 483, 1932, 0x0f3ace2cf37ba581ull);
 }
 
 }  // namespace
