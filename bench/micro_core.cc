@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "core/policy.h"
 #include "core/switch_queue.h"
-#include "core/topology.h"
 #include "sim/simulator.h"
 #include "stats/histogram.h"
 
@@ -100,8 +99,7 @@ void BM_RngExponential(benchmark::State& state) {
 BENCHMARK(BM_RngExponential);
 
 void BM_LocalityPolicyExamine(benchmark::State& state) {
-  core::Topology topology = core::Topology::Uniform(10, 3);
-  core::LocalityPolicy policy(&topology, core::LocalityPolicy::Limits{3, 9});
+  core::LocalityPolicy policy(10, 3, core::LocalityPolicy::Limits{3, 9});
   core::QueueEntry entry = MakeEntry(1);
   entry.task.tprops = 4;
   uint32_t exec = 0;

@@ -65,7 +65,7 @@ void PullBasedDeployment::WireWorkers(Testbed& testbed) {
         ec.exec_props = ExecPropsFor(worker);
         ec.drop_tasks = cfg.noop_executors;
         if (cfg.locality_access_model) {
-          ec.topology = &testbed.topology();
+          ec.locality_access_model = true;
         }
         executors_.push_back(std::make_unique<Executor>(&testbed, ec));
         if (multi_rack) {

@@ -11,6 +11,7 @@ namespace draconis::cluster {
 Executor::Executor(Testbed* testbed, const ExecutorConfig& config)
     : simulator_(&testbed->simulator()),
       network_(&testbed->network()),
+      testbed_config_(&testbed->config()),
       metrics_(testbed->metrics()),
       recorder_(testbed->recorder()),
       config_(config),
@@ -106,9 +107,10 @@ void Executor::RunTask(net::Packet assignment) {
 
   // Data-access penalty for locality experiments.
   TimeNs access = 0;
-  if (config_.topology != nullptr) {
+  if (config_.locality_access_model) {
+    const TestbedConfig& tb = *testbed_config_;
     const auto placement =
-        core::ClassifyPlacement(*config_.topology, task.tprops, config_.worker_node);
+        core::ClassifyPlacement(tb.num_workers, tb.num_racks, task.tprops, config_.worker_node);
     if (first && metrics_->InWindow(task.meta.first_submit_time)) {
       metrics_->RecordPlacement(placement);
     }

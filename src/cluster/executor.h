@@ -16,7 +16,6 @@
 #include "cluster/metrics.h"
 #include "cluster/testbed.h"
 #include "common/rng.h"
-#include "core/topology.h"
 #include "net/network.h"
 #include "net/packet.h"
 #include "sim/simulator.h"
@@ -42,10 +41,11 @@ struct ExecutorConfig {
   // a request, re-request (covers lost packets).
   TimeNs request_timeout = FromMillis(1);
 
-  // Data-access model: when `topology` is set, service is preceded by a data
-  // fetch whose latency depends on where the task landed relative to its
-  // data-local node (Fig. 10's 20 us / 100 us intra/inter-rack accesses).
-  const core::Topology* topology = nullptr;
+  // Data-access model: when set, service is preceded by a data fetch whose
+  // latency depends on where the task landed relative to its data-local node
+  // (Fig. 10's 20 us / 100 us intra/inter-rack accesses), on the testbed's
+  // worker -> rack map.
+  bool locality_access_model = false;
   TimeNs local_access = 0;
   TimeNs rack_access = FromMicros(20);
   TimeNs remote_access = FromMicros(100);
@@ -87,6 +87,7 @@ class Executor : public net::Endpoint {
 
   sim::Simulator* simulator_;
   net::Network* network_;
+  const TestbedConfig* testbed_config_;
   MetricsHub* metrics_;
   trace::Recorder* recorder_ = nullptr;
   ExecutorConfig config_;

@@ -5,9 +5,8 @@
 namespace draconis::cluster {
 
 Testbed::Testbed(const TestbedConfig& config)
-    : config_(config),
-      simulator_(config.sim_queue),
-      topology_(core::Topology::Uniform(config.num_workers, config.num_racks)) {
+    : config_(config), simulator_(config.sim_queue) {
+  DRACONIS_CHECK_MSG(config.num_racks > 0, "num_racks must be >= 1");
   if (config_.trace.enabled) {
     recorder_ = std::make_unique<trace::Recorder>(config_.trace);
   }

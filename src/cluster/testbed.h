@@ -1,7 +1,7 @@
 // The simulated testbed: one context object owning the shared substrate of
 // an experiment run — the event engine, the network fabric, the metrics hub,
-// the (optional) task-lifecycle recorder, and the rack topology — plus the
-// named-domain seed deriver every randomized component draws from.
+// and the (optional) task-lifecycle recorder — plus the named-domain seed
+// deriver every randomized component draws from.
 //
 // Every layer of the cluster (clients, executors, the switch pipeline, the
 // baseline schedulers and workers) takes a single Testbed* instead of the
@@ -19,7 +19,6 @@
 
 #include "cluster/metrics.h"
 #include "common/time.h"
-#include "core/topology.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 #include "trace/recorder.h"
@@ -52,6 +51,8 @@ enum class SeedDomain {
 struct TestbedConfig {
   uint64_t seed = 1;
   size_t num_workers = 10;
+  // The locality policy's data racks: worker n sits in rack n % num_racks
+  // (core/policy.h).
   size_t num_racks = 3;
   // Event-queue backend for the simulator. Both produce bit-identical runs
   // (sim/event_queue.h); the choice is purely a speed knob.
@@ -79,7 +80,6 @@ class Testbed {
   MetricsHub* metrics() { return metrics_.get(); }
   // Nullable: only non-null when config.trace.enabled.
   trace::Recorder* recorder() { return recorder_.get(); }
-  const core::Topology& topology() const { return topology_; }
   const TestbedConfig& config() const { return config_; }
 
   TimeNs warmup() const { return config_.warmup; }
@@ -101,7 +101,6 @@ class Testbed {
   std::unique_ptr<trace::Recorder> recorder_;  // before network_: wired into it
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<MetricsHub> metrics_;
-  core::Topology topology_;
 };
 
 }  // namespace draconis::cluster

@@ -10,9 +10,9 @@ namespace draconis::core {
 DraconisDeployment::DraconisDeployment(const cluster::ExperimentConfig& config)
     : cluster::PullBasedDeployment(config) {}
 
-DraconisDeployment::Instance DraconisDeployment::BuildInstance(cluster::Testbed& testbed,
-                                                               bool attach_as_switch) {
+DraconisDeployment::Instance DraconisDeployment::BuildInstance(cluster::Testbed& testbed) {
   const cluster::ExperimentConfig& cfg = config();
+  const cluster::TestbedConfig& tb = testbed.config();
   Instance inst;
   switch (cfg.policy) {
     case cluster::PolicyKind::kFcfs:
@@ -25,7 +25,8 @@ DraconisDeployment::Instance DraconisDeployment::BuildInstance(cluster::Testbed&
       inst.policy = std::make_unique<ResourcePolicy>();
       break;
     case cluster::PolicyKind::kLocality:
-      inst.policy = std::make_unique<LocalityPolicy>(&testbed.topology(), cfg.locality_limits);
+      inst.policy =
+          std::make_unique<LocalityPolicy>(tb.num_workers, tb.num_racks, cfg.locality_limits);
       break;
   }
   DraconisConfig dc;
@@ -40,14 +41,7 @@ DraconisDeployment::Instance DraconisDeployment::BuildInstance(cluster::Testbed&
   inst.program = std::make_unique<DraconisProgram>(inst.policy.get(), dc, nullptr,
                                                    inst.rank_function.get());
   inst.program->SetRecorder(testbed.recorder());
-  if (attach_as_switch) {
-    inst.pipeline = std::make_unique<p4::SwitchPipeline>(testbed, inst.program.get(), cfg.pipeline);
-  } else {
-    inst.pipeline =
-        std::make_unique<p4::SwitchPipeline>(&testbed.simulator(), inst.program.get(), cfg.pipeline);
-    inst.pipeline->SetRecorder(testbed.recorder());
-    inst.pipeline->AttachNetwork(&testbed.network());
-  }
+  inst.pipeline = std::make_unique<p4::SwitchPipeline>(testbed, inst.program.get(), cfg.pipeline);
   return inst;
 }
 
@@ -57,12 +51,11 @@ void DraconisDeployment::Build(cluster::Testbed& testbed) {
   const size_t num_racks = specs.size();
   const bool multi_rack = num_racks > 1;
 
-  // One ToR switch per rack, in rack order. Rack 0 uses the testbed-attach
-  // path so a 1-rack (or legacy) build keeps the exact construction and
-  // node-id order the determinism goldens pin.
+  // One ToR switch per rack, in rack order: the registration order is part
+  // of the node-id layout the determinism goldens pin.
   racks_.reserve(num_racks);
   for (size_t r = 0; r < num_racks; ++r) {
-    racks_.push_back(BuildInstance(testbed, /*attach_as_switch=*/r == 0));
+    racks_.push_back(BuildInstance(testbed));
     const net::NodeId tor = racks_[r].pipeline->node_id();
     scheduler_nodes_.push_back(tor);
     if (multi_rack) {
@@ -74,10 +67,7 @@ void DraconisDeployment::Build(cluster::Testbed& testbed) {
   // configs keep the exact node-id assignment order (and thus results) they
   // had before the fault layer existed. It protects rack 0's ToR.
   if (cfg.fault_plan.has_scheduler_failover()) {
-    standby_ = BuildInstance(testbed, /*attach_as_switch=*/false);
-    // AttachNetwork made the standby the fabric's primary switch node; the
-    // active instance keeps that role until Failover promotes the standby.
-    testbed.network().SetSwitchNode(racks_[0].pipeline->node_id());
+    standby_ = BuildInstance(testbed);
     standby_nodes_.push_back(standby_.pipeline->node_id());
   }
 
@@ -140,7 +130,6 @@ bool DraconisDeployment::Failover(cluster::Testbed& testbed) {
   }
   ++failovers_;
   const net::NodeId standby = standby_.pipeline->node_id();
-  testbed.network().SetSwitchNode(standby);
   scheduler_nodes_[0] = standby;
   RehomeRackExecutors(testbed, 0, standby);
   // Cross-rack submissions toward rack 0 follow scheduler_nodes_[0] (the

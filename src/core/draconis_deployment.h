@@ -44,11 +44,10 @@ class DraconisDeployment : public cluster::PullBasedDeployment {
     std::unique_ptr<p4::SwitchPipeline> pipeline;
   };
 
-  Instance BuildInstance(cluster::Testbed& testbed, bool attach_as_switch);
+  Instance BuildInstance(cluster::Testbed& testbed);
 
   // The per-rack instances; racks_[0] is the legacy single-switch active
-  // instance (built through the testbed-attach path so fault-free 1-rack
-  // runs keep the exact node-id assignment order the goldens pin).
+  // instance.
   std::vector<Instance> racks_;
   // §3.3 standby for rack 0's ToR. Starts empty (queue state is *not*
   // replicated: the single-access register model has no cross-switch

@@ -25,8 +25,7 @@ DraconisProgram::DraconisProgram(SchedulingPolicy* policy, const DraconisConfig&
                        "parallel priority stages are a per-level-queue layout; the single "
                        "PIFO has no levels to probe");
     pifo_ = std::make_unique<p4::Pifo<QueueEntry>>(
-        "pifo", config.queue_capacity, p4::PifoOverflow::kRejectArrival, ledger,
-        QueueEntry::kWireSize);
+        "pifo", config.queue_capacity, ledger, QueueEntry::kWireSize);
     return;
   }
   const size_t levels = policy->num_queues();
@@ -102,7 +101,7 @@ void DraconisProgram::HandleSubmission(p4::PassContext& ctx, net::Packet pkt) {
     // repair exists or is needed, the client retries exactly as for a full
     // circular queue.
     const uint64_t rank = rank_function_->Rank(ctx.registers(), entry.task, ctx.Now());
-    added = pifo_->Push(ctx.registers(), rank, entry).admitted;
+    added = pifo_->Push(ctx.registers(), rank, entry);
     occupancy = pifo_->cp_size();
   } else {
     q = std::min(policy_->QueueForTask(entry.task), queues_.size() - 1);

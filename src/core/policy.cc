@@ -6,6 +6,15 @@
 
 namespace draconis::core {
 
+namespace {
+
+bool SameRack(size_t num_workers, size_t num_racks, uint32_t data_node, uint32_t exec_node) {
+  DRACONIS_CHECK_MSG(data_node < num_workers, "unknown worker node");
+  return data_node % num_racks == exec_node % num_racks;
+}
+
+}  // namespace
+
 PriorityPolicy::PriorityPolicy(size_t levels) : levels_(levels) {
   DRACONIS_CHECK_MSG(levels >= 1, "priority policy needs at least one level");
 }
@@ -25,9 +34,10 @@ bool ResourcePolicy::ShouldAssign(QueueEntry& entry, uint32_t exec_props) {
   return satisfied;
 }
 
-LocalityPolicy::LocalityPolicy(const Topology* topology, Limits limits, uint32_t max_swaps)
-    : topology_(topology), limits_(limits), max_swaps_(max_swaps) {
-  DRACONIS_CHECK(topology != nullptr);
+LocalityPolicy::LocalityPolicy(size_t num_workers, size_t num_racks, Limits limits,
+                               uint32_t max_swaps)
+    : num_workers_(num_workers), num_racks_(num_racks), limits_(limits), max_swaps_(max_swaps) {
+  DRACONIS_CHECK(num_racks > 0);
   DRACONIS_CHECK_MSG(limits.rack_start_limit <= limits.global_start_limit,
                      "rack_start_limit must not exceed global_start_limit");
 }
@@ -49,23 +59,23 @@ bool LocalityPolicy::ShouldAssign(QueueEntry& entry, uint32_t exec_props) {
     return false;  // still insisting on the data-local node
   }
   if (skips <= limits_.global_start_limit) {
-    if (topology_->SameRack(exec_node, data_node)) {
+    if (SameRack(num_workers_, num_racks_, data_node, exec_node)) {
       entry.task.meta.placement = net::TaskInfo::Placement::kSameRack;
       return true;
     }
     return false;
   }
   // Past the global limit: run anywhere.
-  entry.task.meta.placement = ClassifyPlacement(*topology_, data_node, exec_node);
+  entry.task.meta.placement = ClassifyPlacement(num_workers_, num_racks_, data_node, exec_node);
   return true;
 }
 
-net::TaskInfo::Placement ClassifyPlacement(const Topology& topology, uint32_t data_node,
+net::TaskInfo::Placement ClassifyPlacement(size_t num_workers, size_t num_racks, uint32_t data_node,
                                            uint32_t exec_node) {
   if (exec_node == data_node) {
     return net::TaskInfo::Placement::kLocal;
   }
-  if (topology.SameRack(exec_node, data_node)) {
+  if (SameRack(num_workers, num_racks, data_node, exec_node)) {
     return net::TaskInfo::Placement::kSameRack;
   }
   return net::TaskInfo::Placement::kRemote;

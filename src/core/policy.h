@@ -15,10 +15,10 @@
 #ifndef DRACONIS_CORE_POLICY_H_
 #define DRACONIS_CORE_POLICY_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "core/queue_entry.h"
-#include "core/topology.h"
 #include "net/packet.h"
 
 namespace draconis::core {
@@ -92,6 +92,10 @@ class ResourcePolicy : public SchedulingPolicy {
 // worker node; EXEC_PROPS is the requesting executor's worker node. Each time
 // a task is examined and skipped its skip counter grows, progressively
 // relaxing the constraint from node-local to rack-local to anywhere.
+//
+// The rack map is the paper's worker -> rack table (on the real system a
+// match-action table installed by the network controller): worker node n
+// sits in rack n % num_racks.
 class LocalityPolicy : public SchedulingPolicy {
  public:
   struct Limits {
@@ -99,8 +103,7 @@ class LocalityPolicy : public SchedulingPolicy {
     uint32_t global_start_limit = 9;
   };
 
-  // `topology` must outlive the policy.
-  LocalityPolicy(const Topology* topology, Limits limits, uint32_t max_swaps = 16);
+  LocalityPolicy(size_t num_workers, size_t num_racks, Limits limits, uint32_t max_swaps = 16);
 
   const char* name() const override { return "locality"; }
   bool ShouldAssign(QueueEntry& entry, uint32_t exec_props) override;
@@ -109,15 +112,18 @@ class LocalityPolicy : public SchedulingPolicy {
   const Limits& limits() const { return limits_; }
 
  private:
-  const Topology* topology_;
+  size_t num_workers_;
+  size_t num_racks_;
   Limits limits_;
   uint32_t max_swaps_;
 };
 
 // Computes the placement tag of an assignment: where the executor's node sits
 // relative to the task's data-local node. Used by every policy (including
-// FCFS when run on a locality-tagged workload) for Fig. 10's metrics.
-net::TaskInfo::Placement ClassifyPlacement(const Topology& topology, uint32_t data_node,
+// FCFS when run on a locality-tagged workload) for Fig. 10's metrics. Racks
+// follow LocalityPolicy's map; throws on a data node outside
+// [0, num_workers), since TPROPS can come from a trace file.
+net::TaskInfo::Placement ClassifyPlacement(size_t num_workers, size_t num_racks, uint32_t data_node,
                                            uint32_t exec_node);
 
 }  // namespace draconis::core

@@ -1,6 +1,7 @@
 #include "dag/job_spec.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/rng.h"
@@ -8,6 +9,12 @@
 namespace draconis::dag {
 
 namespace {
+
+// Integer ranges of the JSON-readable fields (json::ReadInt reads int64).
+constexpr int64_t kMinTime = std::numeric_limits<TimeNs>::min();
+constexpr int64_t kMaxTime = std::numeric_limits<TimeNs>::max();
+constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
+constexpr int64_t kMaxU63 = std::numeric_limits<int64_t>::max();
 
 // Independent per-job stream: a golden-ratio index spread over the spec
 // seed, so job j's structure depends only on (seed, j) and shortening the
@@ -105,32 +112,37 @@ bool JobSpec::FromJson(const json::Value& v, JobSpec* out, std::string* error) {
     if (!t.is_object()) {
       return fail("dag job: 'tasks' entries must be objects");
     }
+    const std::string where = "dag job: task " + std::to_string(parsed.tasks.size());
     TaskNode node;
     const json::Value* duration = t.Find("duration_ns");
-    if (duration == nullptr || !duration->is_number()) {
-      return fail("dag job: task " + std::to_string(parsed.tasks.size()) +
-                  " is missing 'duration_ns'");
+    if (duration == nullptr) {
+      return fail(where + " is missing 'duration_ns'");
     }
-    node.duration = duration->AsInt();
+    if (!json::ReadInt(*duration, where + ": duration_ns", kMinTime, kMaxTime, &node.duration,
+                       error)) {
+      return false;
+    }
     if (const json::Value* deps = t.Find("deps"); deps != nullptr) {
       if (!deps->is_array()) {
         return fail("dag job: 'deps' must be an array");
       }
       for (const json::Value& dep : deps->AsArray()) {
-        if (!dep.is_number() || dep.AsInt() < 0) {
-          return fail("dag job: 'deps' entries must be non-negative task indices");
+        uint32_t index = 0;
+        if (!json::ReadInt(dep, where + ": deps entry", 0, kMaxU32, &index, error)) {
+          return false;
         }
-        node.deps.push_back(static_cast<uint32_t>(dep.AsInt()));
+        node.deps.push_back(index);
       }
     }
-    const auto integer = [&t](const char* key, int64_t fallback) {
+    // An absent member keeps its default; a present one must be in range.
+    const auto integer = [&t, &where, error](const char* key, int64_t hi, auto* field) {
       const json::Value* member = t.Find(key);
-      return member != nullptr && member->is_number() ? member->AsInt() : fallback;
+      return member == nullptr || json::ReadInt(*member, where + ": " + key, 0, hi, field, error);
     };
-    node.stage = static_cast<uint32_t>(integer("stage", 0));
-    node.tprops = static_cast<uint32_t>(integer("tprops", 0));
-    node.fn_id = static_cast<uint32_t>(integer("fn_id", 0));
-    node.fn_par = static_cast<uint64_t>(integer("fn_par", 0));
+    if (!integer("stage", kMaxU32, &node.stage) || !integer("tprops", kMaxU32, &node.tprops) ||
+        !integer("fn_id", kMaxU32, &node.fn_id) || !integer("fn_par", kMaxU63, &node.fn_par)) {
+      return false;
+    }
     parsed.tasks.push_back(std::move(node));
   }
   const std::string invalid = parsed.Validate();
@@ -364,16 +376,20 @@ bool DagWorkloadSpec::FromJson(const json::Value& v, DagWorkloadSpec* out, std::
     const json::Value* member = v.Find(key);
     return member != nullptr && member->is_number() ? member->AsDouble() : fallback;
   };
-  const auto integer = [&v](const char* key, int64_t fallback) {
+  // An absent member keeps its default; a present one must be in range.
+  const auto integer = [&v, error](const char* key, int64_t lo, int64_t hi, auto* field) {
     const json::Value* member = v.Find(key);
-    return member != nullptr && member->is_number() ? member->AsInt() : fallback;
+    return member == nullptr ||
+           json::ReadInt(*member, std::string("dag workload: ") + key, lo, hi, field, error);
   };
-  parsed.depth = static_cast<uint32_t>(integer("depth", parsed.depth));
-  parsed.width = static_cast<uint32_t>(integer("width", parsed.width));
+  if (!integer("depth", 0, kMaxU32, &parsed.depth) ||
+      !integer("width", 0, kMaxU32, &parsed.width) ||
+      !integer("duration_ns", kMinTime, kMaxTime, &parsed.duration) ||
+      !integer("seed", 0, kMaxU63, &parsed.seed)) {
+    return false;
+  }
   parsed.edge_prob = number("edge_prob", parsed.edge_prob);
   parsed.jobs_per_second = number("jobs_per_second", parsed.jobs_per_second);
-  parsed.duration = integer("duration_ns", parsed.duration);
-  parsed.seed = static_cast<uint64_t>(integer("seed", static_cast<int64_t>(parsed.seed)));
   if (const json::Value* service = v.Find("service"); service != nullptr) {
     if (!service->is_string()) {
       return fail("dag workload: 'service' must be a service-time name");

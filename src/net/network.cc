@@ -42,16 +42,9 @@ uint32_t Network::NodeRack(NodeId node) const {
   return rack_of_[node];
 }
 
-bool Network::IsSwitch(NodeId node) const {
-  if (node == switch_node_) {
-    return true;
-  }
-  for (NodeId s : switch_nodes_) {
-    if (s == node) {
-      return true;
-    }
-  }
-  return false;
+void Network::MarkSwitch(NodeId node) {
+  DRACONIS_CHECK(node < hosts_.size());
+  hosts_[node].is_switch = true;
 }
 
 void Network::Send(NodeId from, Packet pkt) {
@@ -83,7 +76,7 @@ void Network::Send(NodeId from, Packet pkt) {
   tx.busy_until = std::max(tx.busy_until, now) + tx.profile.tx_cost;
   const TimeNs departs = tx.busy_until;
 
-  const int hops = (IsSwitch(from) || IsSwitch(pkt.dst)) ? 1 : 2;
+  const int hops = (tx.is_switch || hosts_[pkt.dst].is_switch) ? 1 : 2;
   const auto serialization =
       static_cast<TimeNs>(config_.ns_per_byte * static_cast<double>(pkt.WireSize()));
 

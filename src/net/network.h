@@ -89,14 +89,10 @@ class Network {
   // the network.
   NodeId Register(Endpoint* endpoint, const HostProfile& profile);
 
-  // Marks `node` as the switch so that endpoint-to-endpoint traffic that does
-  // not terminate at the switch is charged two propagation hops.
-  void SetSwitchNode(NodeId node) { switch_node_ = node; }
-
-  // Multi-rack topology: additionally marks `node` as a switch for hop
-  // accounting (every ToR is one edge hop from its rack), without displacing
-  // the legacy primary switch set via SetSwitchNode.
-  void AddSwitchNode(NodeId node) { switch_nodes_.push_back(node); }
+  // Marks `node` as a switch: traffic to or from a switch costs one
+  // propagation hop, endpoint-to-endpoint traffic two (through the switch).
+  // Every ToR of a multi-rack topology, and a §3.3 standby, is marked.
+  void MarkSwitch(NodeId node);
 
   // Assigns `node` to a rack for the two-tier latency model; every node
   // starts in rack 0, so an unassigned fabric never pays aggregation costs.
@@ -143,10 +139,10 @@ class Network {
     HostProfile profile;
     TimeNs busy_until = 0;  // single packet-processing core
     bool disconnected = false;
+    bool is_switch = false;  // hop accounting (MarkSwitch)
   };
 
   void RecordNetDrops(const Packet& pkt);
-  bool IsSwitch(NodeId node) const;
 
   sim::Simulator* simulator_;
   NetworkConfig config_;
@@ -154,10 +150,8 @@ class Network {
   Rng fault_rng_;  // drop-probability stream; only consumed by drop rules
   trace::Recorder* recorder_ = nullptr;
   std::vector<Host> hosts_;
-  NodeId switch_node_ = kInvalidNode;
-  std::vector<NodeId> switch_nodes_;  // additional ToR switches (multi-rack)
-  std::vector<uint32_t> rack_of_;     // parallel to hosts_; all 0 by default
-  std::vector<TimeNs> uplink_busy_;   // per-rack aggregation uplink server
+  std::vector<uint32_t> rack_of_;    // parallel to hosts_; all 0 by default
+  std::vector<TimeNs> uplink_busy_;  // per-rack aggregation uplink server
   std::unordered_map<uint64_t, double> drop_rules_;  // (from << 32 | to) -> p
   TimeNs latency_penalty_ = 0;
   uint64_t packets_delivered_ = 0;

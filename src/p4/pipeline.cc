@@ -41,10 +41,7 @@ net::NodeId SwitchPipeline::AttachNetwork(net::Network* network) {
   DRACONIS_CHECK(network != nullptr);
   network_ = network;
   node_id_ = network->Register(this, net::HostProfile::Wire());
-  network->SetSwitchNode(node_id_);
-  // Multi-rack topologies attach several pipelines; every one of them is a
-  // switch for hop accounting even after SetSwitchNode moves on.
-  network->AddSwitchNode(node_id_);
+  network->MarkSwitch(node_id_);
   return node_id_;
 }
 

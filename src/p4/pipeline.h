@@ -122,9 +122,9 @@ struct PipelineCounters {
 
 class SwitchPipeline : public net::Endpoint {
  public:
-  // Deploys the pipeline on a testbed: registers on its fabric (becoming the
-  // fabric's switch node) and picks up its recorder. The testbed and the
-  // program must outlive the pipeline.
+  // Deploys the pipeline on a testbed: registers on its fabric (marked as a
+  // switch) and picks up its recorder. The testbed and the program must
+  // outlive the pipeline.
   SwitchPipeline(cluster::Testbed& testbed, SwitchProgram* program, const PipelineConfig& config);
 
   // Low-level form for switch-layer unit tests that run without a testbed.
@@ -133,7 +133,8 @@ class SwitchPipeline : public net::Endpoint {
   SwitchPipeline(sim::Simulator* simulator, SwitchProgram* program,
                  const PipelineConfig& config);
 
-  // Registers the pipeline on the fabric and remembers its own address.
+  // Registers the pipeline on the fabric as a switch (Network::MarkSwitch)
+  // and remembers its own address.
   net::NodeId AttachNetwork(net::Network* network);
 
   net::NodeId node_id() const { return node_id_; }

@@ -7,11 +7,11 @@
 // (optionally) serialization on a per-rack uplink of finite capacity — see
 // net::NetworkConfig::aggregation_latency / agg_ns_per_byte.
 //
-// This is deliberately distinct from core::Topology, which is the *locality
-// policy's* worker -> data-rack map; ClusterTopology shards the scheduler
-// itself. An empty (disabled) ClusterTopology leaves every experiment
-// bit-identical to the single-switch configuration the determinism goldens
-// pin.
+// ClusterTopology shards the scheduler itself; the locality policy's
+// worker -> data-rack map (core/policy.h) is not a topology and is rejected
+// alongside a multi-rack ClusterTopology. An empty (disabled)
+// ClusterTopology leaves every experiment bit-identical to the
+// single-switch configuration the determinism goldens pin.
 
 #ifndef DRACONIS_TOPOLOGY_TOPOLOGY_H_
 #define DRACONIS_TOPOLOGY_TOPOLOGY_H_

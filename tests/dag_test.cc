@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/experiment.h"
@@ -118,6 +119,32 @@ TEST(JobSpecTest, FromJsonRejectsMalformedDocuments) {
   }
 }
 
+// Every integer member is a checked read: a non-integral or out-of-range
+// value is a located error, never a wrapped index or a CheckFailure.
+TEST(JobSpecTest, FromJsonRejectsNonIntegralAndOutOfRangeIntegers) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      // 2^32 used to wrap to task 0, an accepted edge.
+      {R"({"tasks": [{"duration_ns": 5}, {"duration_ns": 5, "deps": [4294967296]}]})",
+       "task 1: deps entry"},
+      {R"({"tasks": [{"duration_ns": 1.5}]})", "task 0: duration_ns"},
+      {R"({"tasks": [{"duration_ns": 5, "deps": [-1]}]})", "task 0: deps entry"},
+      {R"({"tasks": [{"duration_ns": 5, "stage": 4294967296}]})", "task 0: stage"},
+      {R"({"tasks": [{"duration_ns": 5, "tprops": "x"}]})", "task 0: tprops"},
+      {R"({"tasks": [{"duration_ns": 5, "fn_id": -1}]})", "task 0: fn_id"},
+      {R"({"tasks": [{"duration_ns": 5, "fn_par": 0.5}]})", "task 0: fn_par"},
+  };
+  for (const auto& [text, where] : bad) {
+    json::Value value;
+    std::string error;
+    ASSERT_TRUE(json::Parse(text, &value, &error)) << text;
+    JobSpec parsed;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = JobSpec::FromJson(value, &parsed, &error)) << text;
+    EXPECT_FALSE(ok) << text;
+    EXPECT_NE(error.find(where), std::string::npos) << text << ": " << error;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DagWorkloadSpec: generators, determinism, JSON round-trip
 // ---------------------------------------------------------------------------
@@ -220,6 +247,27 @@ TEST(DagWorkloadSpecTest, JsonRoundTripsExactly) {
   ASSERT_TRUE(DagWorkloadSpec::FromJson(value, &parsed, &error)) << error;
   EXPECT_EQ(parsed.ToJson(), spec.ToJson());
   EXPECT_EQ(parsed.label(), spec.label());
+}
+
+TEST(DagWorkloadSpecTest, FromJsonRejectsNonIntegralAndOutOfRangeIntegers) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      // -1 used to wrap to a 2^32 - 1 level chain.
+      {R"({"shape": "chain", "depth": -1})", "depth"},
+      {R"({"shape": "random", "width": 2.5})", "width"},
+      {R"({"shape": "chain", "duration_ns": 1.5})", "duration_ns"},
+      {R"({"shape": "chain", "seed": -3})", "seed"},
+      {R"({"shape": "chain", "depth": "3"})", "depth"},
+  };
+  for (const auto& [text, key] : bad) {
+    json::Value value;
+    std::string error;
+    ASSERT_TRUE(json::Parse(text, &value, &error)) << text;
+    DagWorkloadSpec parsed;
+    bool ok = true;
+    EXPECT_NO_THROW(ok = DagWorkloadSpec::FromJson(value, &parsed, &error)) << text;
+    EXPECT_FALSE(ok) << text;
+    EXPECT_NE(error.find("dag workload: " + key), std::string::npos) << text << ": " << error;
+  }
 }
 
 TEST(DagWorkloadSpecTest, ValidateAndFlagsRejectBadValues) {

@@ -452,6 +452,32 @@ TEST(DeterminismTest, OneRackTopologyIsBitIdenticalToSingleSwitchGolden) {
   EXPECT_DOUBLE_EQ(result.throughput_tps, 10000.0);
 }
 
+// The §5.3 locality path end to end: the locality policy's escalation walk
+// and the executors' data-access model both read the worker -> rack map
+// (worker n sits in rack n % num_racks), so a change to either shows up
+// here. Pinned like the single-switch golden table above.
+cluster::ExperimentConfig LocalityMiniConfig() {
+  cluster::ExperimentConfig config = MakeConfig(11);
+  config.num_workers = 6;
+  config.num_racks = 3;
+  config.policy = cluster::PolicyKind::kLocality;
+  config.locality_access_model = true;
+  config.workload.tasks_per_second = 0.3 * 24 / 100e-6;
+  config.workload.taggers.push_back(workload::TaggerStage::Locality(6, 17));
+  return config;
+}
+
+TEST(DeterminismTest, LocalityRunMatchesPin) {
+  cluster::ExperimentResult result = RunExperiment(LocalityMiniConfig());
+  const cluster::MetricsHub& m = *result.metrics;
+  EXPECT_EQ(m.tasks_completed(), 1242u);
+  EXPECT_EQ(m.placements(net::TaskInfo::Placement::kLocal), 704u);
+  EXPECT_EQ(m.placements(net::TaskInfo::Placement::kSameRack), 340u);
+  EXPECT_EQ(m.placements(net::TaskInfo::Placement::kRemote), 198u);
+  EXPECT_EQ(m.e2e_delay().Percentile(0.50), 233471);
+  EXPECT_EQ(m.e2e_delay().Percentile(0.99), 1146879);
+}
+
 // Captured from a known-good build of the 2-rack mini run below; update only
 // for an intentional behaviour change, and say so in the commit message.
 constexpr uint64_t kTwoRackGoldenCompletions = 130;

@@ -9,7 +9,6 @@
 #include "common/check.h"
 #include "core/draconis_program.h"
 #include "core/policy.h"
-#include "core/topology.h"
 #include "net/network.h"
 #include "p4/pipeline.h"
 #include "sim/simulator.h"
@@ -403,14 +402,11 @@ TEST_F(DraconisProgramTest, SwapWalkExaminesDeepQueue) {
 
 // --- Locality policy (§5.3) ---------------------------------------------------
 
-class LocalityProgramTest : public DraconisProgramTest {
- protected:
-  LocalityProgramTest() : topology(Topology::Uniform(6, 3)) {}
-  Topology topology;
-};
+// Six workers over three racks (node n sits in rack n % 3).
+using LocalityProgramTest = DraconisProgramTest;
 
 TEST_F(LocalityProgramTest, DataLocalExecutorGetsTaskImmediately) {
-  LocalityPolicy policy(&topology, LocalityPolicy::Limits{3, 9});
+  LocalityPolicy policy(6, 3, LocalityPolicy::Limits{3, 9});
   Build(&policy);
   network->Send(client_node, Submission({0}, /*tprops=*/2));  // data on node 2
   simulator.RunUntil(FromMicros(10));
@@ -421,7 +417,7 @@ TEST_F(LocalityProgramTest, DataLocalExecutorGetsTaskImmediately) {
 }
 
 TEST_F(LocalityProgramTest, RemoteExecutorSkipsUntilGlobalLimit) {
-  LocalityPolicy policy(&topology, LocalityPolicy::Limits{2, 4});
+  LocalityPolicy policy(6, 3, LocalityPolicy::Limits{2, 4});
   Build(&policy);
   network->Send(client_node, Submission({0}, /*tprops=*/2));
   simulator.RunUntil(FromMicros(10));
@@ -441,7 +437,7 @@ TEST_F(LocalityProgramTest, RemoteExecutorSkipsUntilGlobalLimit) {
 }
 
 TEST_F(LocalityProgramTest, RackLocalExecutorAcceptedAfterRackLimit) {
-  LocalityPolicy policy(&topology, LocalityPolicy::Limits{1, 9});
+  LocalityPolicy policy(6, 3, LocalityPolicy::Limits{1, 9});
   Build(&policy);
   network->Send(client_node, Submission({0}, /*tprops=*/2));  // data on node 2, rack 2
   simulator.RunUntil(FromMicros(10));

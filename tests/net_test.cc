@@ -89,15 +89,20 @@ TEST(NetworkTest, DeliversPacketToDestination) {
   EXPECT_TRUE(a.received.empty());
 }
 
+// The multi-ToR shape: every marked switch is one hop from every node, and
+// node-to-node traffic pays two hops however many switches exist.
 TEST(NetworkTest, NodeToNodeCostsTwoHopsWithoutSwitchInvolvement) {
   Fixture f;
   Recorder a;
   Recorder b;
   Recorder sw;
+  Recorder sw2;
   const NodeId ida = f.network.Register(&a, HostProfile::Wire());
   const NodeId idb = f.network.Register(&b, HostProfile::Wire());
   const NodeId ids = f.network.Register(&sw, HostProfile::Wire());
-  f.network.SetSwitchNode(ids);
+  const NodeId ids2 = f.network.Register(&sw2, HostProfile::Wire());
+  f.network.MarkSwitch(ids);
+  f.network.MarkSwitch(ids2);
 
   Packet p1;
   p1.dst = idb;
@@ -105,9 +110,17 @@ TEST(NetworkTest, NodeToNodeCostsTwoHopsWithoutSwitchInvolvement) {
   Packet p2;
   p2.dst = ids;
   f.network.Send(ida, std::move(p2));  // node -> switch: 1 hop
+  Packet p3;
+  p3.dst = ids2;
+  f.network.Send(idb, std::move(p3));  // node -> second switch: 1 hop
+  Packet p4;
+  p4.dst = ida;
+  f.network.Send(ids2, std::move(p4));  // second switch -> node: 1 hop
 
   f.simulator.RunUntil(1000);
   EXPECT_EQ(sw.received.size(), 1u);
+  EXPECT_EQ(sw2.received.size(), 1u);
+  EXPECT_EQ(a.received.size(), 1u);
   EXPECT_TRUE(b.received.empty());
   f.simulator.RunUntil(2000);
   EXPECT_EQ(b.received.size(), 1u);
@@ -181,7 +194,7 @@ TEST(NetworkTest, SerializationDelayScalesWithSize) {
   Recorder b;
   const NodeId ida = network.Register(&a, HostProfile::Wire());
   const NodeId idb = network.Register(&b, HostProfile::Wire());
-  network.SetSwitchNode(idb);
+  network.MarkSwitch(idb);
 
   Packet p;
   p.dst = idb;

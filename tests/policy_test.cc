@@ -2,7 +2,6 @@
 
 #include "common/check.h"
 #include "core/policy.h"
-#include "core/topology.h"
 
 namespace draconis::core {
 namespace {
@@ -14,36 +13,6 @@ QueueEntry Entry(uint32_t tprops, uint32_t skip = 0) {
   e.skip_counter = skip;
   e.valid = true;
   return e;
-}
-
-// --- Topology ---------------------------------------------------------------
-
-TEST(TopologyTest, UniformRoundRobin) {
-  Topology topo = Topology::Uniform(9, 3);
-  EXPECT_EQ(topo.num_nodes(), 9u);
-  EXPECT_EQ(topo.num_racks(), 3u);
-  EXPECT_EQ(topo.RackOf(0), 0u);
-  EXPECT_EQ(topo.RackOf(4), 1u);
-  EXPECT_EQ(topo.RackOf(8), 2u);
-}
-
-TEST(TopologyTest, SameRack) {
-  Topology topo = Topology::Uniform(9, 3);
-  EXPECT_TRUE(topo.SameRack(0, 3));
-  EXPECT_TRUE(topo.SameRack(2, 8));
-  EXPECT_FALSE(topo.SameRack(0, 1));
-}
-
-TEST(TopologyTest, UnknownNodeThrows) {
-  Topology topo = Topology::Uniform(4, 2);
-  EXPECT_THROW(topo.RackOf(4), draconis::CheckFailure);
-}
-
-TEST(TopologyTest, CustomMapping) {
-  Topology topo({0, 0, 1});
-  EXPECT_EQ(topo.num_racks(), 2u);
-  EXPECT_TRUE(topo.SameRack(0, 1));
-  EXPECT_FALSE(topo.SameRack(1, 2));
 }
 
 // --- FCFS -------------------------------------------------------------------
@@ -118,8 +87,8 @@ TEST(ResourcePolicyTest, SwapBoundConfigurable) {
 
 class LocalityPolicyTest : public ::testing::Test {
  protected:
-  LocalityPolicyTest() : topo(Topology::Uniform(6, 3)), policy(&topo, {3, 9}) {}
-  Topology topo;
+  // Six workers round-robin over three racks: rack r holds nodes r and r + 3.
+  LocalityPolicyTest() : policy(6, 3, {3, 9}) {}
   LocalityPolicy policy;
 };
 
@@ -177,14 +146,33 @@ TEST_F(LocalityPolicyTest, DataLocalAlwaysWinsEvenLate) {
 }
 
 TEST_F(LocalityPolicyTest, InvalidLimitsRejected) {
-  EXPECT_THROW(LocalityPolicy(&topo, {9, 3}), draconis::CheckFailure);
+  EXPECT_THROW(LocalityPolicy(6, 3, {9, 3}), draconis::CheckFailure);
+  EXPECT_THROW(LocalityPolicy(6, 0, {3, 9}), draconis::CheckFailure);
 }
 
 TEST(ClassifyPlacementTest, AllThreeClasses) {
-  Topology topo = Topology::Uniform(6, 3);
-  EXPECT_EQ(ClassifyPlacement(topo, 2, 2), net::TaskInfo::Placement::kLocal);
-  EXPECT_EQ(ClassifyPlacement(topo, 2, 5), net::TaskInfo::Placement::kSameRack);
-  EXPECT_EQ(ClassifyPlacement(topo, 2, 1), net::TaskInfo::Placement::kRemote);
+  EXPECT_EQ(ClassifyPlacement(6, 3, 2, 2), net::TaskInfo::Placement::kLocal);
+  EXPECT_EQ(ClassifyPlacement(6, 3, 2, 5), net::TaskInfo::Placement::kSameRack);
+  EXPECT_EQ(ClassifyPlacement(6, 3, 2, 1), net::TaskInfo::Placement::kRemote);
+}
+
+// Workers spread round-robin over the racks: node n sits in rack n % racks.
+TEST(ClassifyPlacementTest, RacksAreRoundRobin) {
+  constexpr auto kSameRack = net::TaskInfo::Placement::kSameRack;
+  constexpr auto kRemote = net::TaskInfo::Placement::kRemote;
+  EXPECT_EQ(ClassifyPlacement(9, 3, 0, 3), kSameRack);
+  EXPECT_EQ(ClassifyPlacement(9, 3, 0, 6), kSameRack);
+  EXPECT_EQ(ClassifyPlacement(9, 3, 8, 2), kSameRack);
+  EXPECT_EQ(ClassifyPlacement(9, 3, 4, 7), kSameRack);
+  EXPECT_EQ(ClassifyPlacement(9, 3, 0, 1), kRemote);
+  EXPECT_EQ(ClassifyPlacement(9, 3, 4, 8), kRemote);
+}
+
+// TPROPS can come from a trace file, so a data node outside the cluster is
+// an error rather than a silent rack.
+TEST(ClassifyPlacementTest, OutOfRangeDataNodeThrows) {
+  EXPECT_THROW(ClassifyPlacement(4, 2, /*data_node=*/4, /*exec_node=*/0), draconis::CheckFailure);
+  EXPECT_EQ(ClassifyPlacement(4, 2, 3, 1), net::TaskInfo::Placement::kSameRack);
 }
 
 }  // namespace
