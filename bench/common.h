@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "baselines/intra_node_policy.h"
 #include "cluster/deployment.h"
 #include "cluster/experiment.h"
 #include "common/flags.h"
@@ -134,6 +135,32 @@ inline bool KeepScheduler(const std::string& choice, cluster::SchedulerKind kind
   }
   cluster::SchedulerKind want;
   return cluster::SchedulerKindFromName(choice, &want) && want == kind;
+}
+
+// One series of a registry-driven sweep.
+struct SweepSystem {
+  const char* name;  // series name
+  const char* flag;  // point-label prefix
+  cluster::SchedulerKind kind;
+  baselines::IntraNodePolicy intra = baselines::IntraNodePolicy::kFcfs;
+};
+
+// The registered kinds a --scheduler choice keeps, in registration order,
+// then RackSched-EDF — RackSched with the EDF intra-node dispatcher, a
+// racksched_intra_policy setting rather than a kind — when it keeps
+// RackSched.
+inline std::vector<SweepSystem> RegistrySystems(const std::string& choice) {
+  std::vector<SweepSystem> systems;
+  for (const cluster::DeploymentInfo& info : cluster::DeploymentRegistry::Get().all()) {
+    if (KeepScheduler(choice, info.kind)) {
+      systems.push_back({info.canonical_name, info.flag_name, info.kind});
+    }
+  }
+  if (KeepScheduler(choice, cluster::SchedulerKind::kRackSched)) {
+    systems.push_back({"RackSched-EDF", "racksched-edf", cluster::SchedulerKind::kRackSched,
+                       baselines::IntraNodePolicy::kEdf});
+  }
+  return systems;
 }
 
 // Valid values for the --switch-policy flag (AddChoice): the switch

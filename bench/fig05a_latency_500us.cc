@@ -20,6 +20,7 @@ struct System {
   const char* name;
   SchedulerKind kind;
   size_t num_schedulers = 1;
+  baselines::IntraNodePolicy intra = baselines::IntraNodePolicy::kFcfs;
 };
 
 }  // namespace
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
       {"1 Sparrow", SchedulerKind::kSparrow, 1},
       {"2 Sparrow", SchedulerKind::kSparrow, 2},
       {"Malcolm", SchedulerKind::kMalcolm},
-      {"RackSched-EDF", SchedulerKind::kRackSchedEdf},
+      {"RackSched-EDF", SchedulerKind::kRackSched, 1, baselines::IntraNodePolicy::kEdf},
   };
   std::vector<System> systems;
   for (const System& system : all_systems) {
@@ -70,6 +71,7 @@ int main(int argc, char** argv) {
       point.config =
           SyntheticConfig(system.kind, load * 1000.0, service, 42, 10, runner.horizon());
       point.config.num_schedulers = system.num_schedulers;
+      point.config.racksched_intra_policy = system.intra;
       point.config.jbsq_k = 3;
       spec.points.push_back(std::move(point));
     }

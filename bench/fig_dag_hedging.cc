@@ -7,8 +7,8 @@
 // p99 job makespan should drop while the wasted-work fraction reports what
 // the insurance cost.
 //
-// The sweep is registry-driven (every DeploymentInfo kind shows up in both
-// series) and publishes BENCH_dag.json in CI. The hedging-off Draconis point
+// The sweep is registry-driven (every DeploymentInfo kind, then
+// RackSched-EDF, shows up in both series) and publishes BENCH_dag.json in CI. The hedging-off Draconis point
 // is additionally run twice back to back and the reports compared
 // byte-for-byte (extra.repeat_identical): hedging off draws zero hedge
 // randomness, so the repeat must be bit-identical.
@@ -86,12 +86,8 @@ int main(int argc, char** argv) {
   spec.name = "fig_dag_hedging";
   spec.title = "p99 job makespan with and without straggler hedging, all kinds";
   spec.axis = {"offered load", "fraction of capacity"};
-  std::vector<const DeploymentInfo*> systems;
-  for (const DeploymentInfo& info : DeploymentRegistry::Get().all()) {
-    if (!KeepScheduler(scheduler, info.kind)) {
-      continue;
-    }
-    systems.push_back(&info);
+  const std::vector<SweepSystem> systems = RegistrySystems(scheduler);
+  for (const SweepSystem& system : systems) {
     for (const bool hedge_on : {false, true}) {
       for (double util : utilizations) {
         dag::DagWorkloadSpec workload = base;
@@ -100,13 +96,14 @@ int main(int argc, char** argv) {
             static_cast<double>(workload.TasksPerJob());
         const dag::HedgePolicy& policy = hedge_on ? hedged : unhedged;
         sweep::SweepPoint point;
-        point.series = std::string(info.canonical_name) + (hedge_on ? " +hedge" : " no-hedge");
+        point.series = std::string(system.name) + (hedge_on ? " +hedge" : " no-hedge");
         point.x = util;
         char label[96];
-        std::snprintf(label, sizeof(label), "%s@%.0f%%%s", info.flag_name, 100.0 * util,
+        std::snprintf(label, sizeof(label), "%s@%.0f%%%s", system.flag, 100.0 * util,
                       hedge_on ? "+hedge" : "");
         point.label = label;
-        point.config = DagPointConfig(info.kind, runner.horizon());
+        point.config = DagPointConfig(system.kind, runner.horizon());
+        point.config.racksched_intra_policy = system.intra;
         point.run = [workload, policy](const ExperimentConfig& config) {
           dag::DagDriver driver(workload, policy);
           return RunExperiment(config, driver);
@@ -158,7 +155,7 @@ int main(int argc, char** argv) {
     std::printf("%-34s %10s %10s %8s %8s %8s\n", "system", "p50 mkspan", "p99 mkspan",
                 "hedges", "wins", "waste%");
     size_t i = 0;
-    for (const DeploymentInfo* system : systems) {
+    for (const SweepSystem& system : systems) {
       for (const bool hedge_on : {false, true}) {
         for (size_t col = 0; col < utilizations.size(); ++col, ++i) {
           if (utilizations[col] != util) {
@@ -167,7 +164,7 @@ int main(int argc, char** argv) {
           const sweep::SweepPointResult& r = results[i];
           const cluster::DagRunStats& dag = r.result.dag;
           const std::string name =
-              std::string(system->canonical_name) + (hedge_on ? " +hedge" : "");
+              std::string(system.name) + (hedge_on ? " +hedge" : "");
           std::printf("%-34s %10s %10s %8llu %8llu %7.2f%%\n", name.c_str(),
                       dag.makespan.count() > 0
                           ? FormatDuration(dag.makespan.Percentile(0.50)).c_str()

@@ -5,9 +5,11 @@
 // behind them.
 //
 // The sweep is registry-driven: a kind registered in the DeploymentRegistry
-// shows up here (and in BENCH_tail.json) automatically. The stream carries
-// deadline tags (slack 3x, 200 us jitter); only deadline-aware kinds such as
-// RackSched-EDF read them, so every system sees byte-identical arrivals.
+// shows up here (and in BENCH_tail.json) automatically, followed by
+// RackSched-EDF (RackSched with racksched_intra_policy = edf). The stream
+// carries deadline tags (slack 3x, 200 us jitter); only deadline-aware
+// dispatchers such as RackSched-EDF's read them, so every system sees
+// byte-identical arrivals.
 //
 // Expected shape: Draconis lowest; Malcolm (latency-distribution-aware
 // steering) beats RackSched's power-of-two at the p99 because it avoids
@@ -47,23 +49,19 @@ int main(int argc, char** argv) {
   spec.name = "fig_tail_latency";
   spec.title = "p99/p99.9 end-to-end latency under Pareto service times, all kinds";
   spec.axis = {"offered load", "fraction of capacity"};
-  std::vector<const DeploymentInfo*> systems;
-  for (const DeploymentInfo& info : DeploymentRegistry::Get().all()) {
-    if (!KeepScheduler(scheduler, info.kind)) {
-      continue;
-    }
-    systems.push_back(&info);
+  const std::vector<SweepSystem> systems = RegistrySystems(scheduler);
+  for (const SweepSystem& system : systems) {
     for (double util : utilizations) {
       sweep::SweepPoint point;
-      point.series = info.canonical_name;
+      point.series = system.name;
       point.x = util;
       char label[64];
-      std::snprintf(label, sizeof(label), "%s@%.0f%%", info.flag_name,
-                    100.0 * util);
+      std::snprintf(label, sizeof(label), "%s@%.0f%%", system.flag, 100.0 * util);
       point.label = label;
-      point.config = SyntheticConfig(info.kind, UtilToTps(util, service.Mean()), service,
+      point.config = SyntheticConfig(system.kind, UtilToTps(util, service.Mean()), service,
                                      42, 10, runner.horizon());
       point.config.jbsq_k = 3;
+      point.config.racksched_intra_policy = system.intra;
       // Heavy-tailed services make resubmission storms cheap to trigger;
       // stay at the top of the paper's "typical 5-10x" client-timeout band.
       point.config.timeout_multiplier = 10.0;
@@ -99,10 +97,10 @@ int main(int argc, char** argv) {
     std::printf("\n--- offered load %.0f%% of capacity ---\n", 100.0 * util);
     PrintQuantileHeader("sched delay");
     size_t i = 0;
-    for (const DeploymentInfo* system : systems) {
+    for (const SweepSystem& system : systems) {
       for (size_t col = 0; col < utilizations.size(); ++col, ++i) {
         if (utilizations[col] == util) {
-          PrintQuantileRow(system->canonical_name,
+          PrintQuantileRow(system.name,
                            results[i].result.metrics->sched_delay());
         }
       }

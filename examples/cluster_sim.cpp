@@ -8,6 +8,8 @@
 //
 //   ./build/examples/cluster_sim --scheduler=r2p2 --jbsq-k=1 --utilization=0.95
 //
+//   ./build/examples/cluster_sim --scheduler=racksched --racksched-intra=edf
+//
 //   ./build/examples/cluster_sim --trace=mytrace.csv --scheduler=racksched
 //
 // Trace files use the CSV format documented in workload/trace_io.h.
@@ -64,13 +66,13 @@ int main(int argc, char** argv) {
   int64_t tasks_per_job = 1;
   int64_t seed = 42;
   bool locality_access = false;
-  bool racksched_ps = false;
+  std::string racksched_intra = "fcfs";
 
   flags::Parser parser(
       "cluster_sim — run one scheduling experiment on the simulated testbed");
   parser.AddString("scheduler", &scheduler_name,
                    "any registered kind (list_schedulers --flags-only), e.g. draconis | "
-                   "racksched | malcolm | racksched-edf");
+                   "racksched | malcolm");
   parser.AddString("policy", &policy_name,
                    "Draconis policy: fcfs | priority | locality | resource");
   parser.AddString("trace", &trace_path,
@@ -88,8 +90,9 @@ int main(int argc, char** argv) {
   parser.AddInt64("seed", &seed, "workload seed");
   parser.AddBool("locality-access", &locality_access,
                  "charge 0/20/100 us data-access penalties by placement");
-  parser.AddBool("racksched-ps", &racksched_ps,
-                 "RackSched intra-node Processor Sharing instead of cFCFS");
+  parser.AddChoice("racksched-intra", &racksched_intra, {"fcfs", "ps", "edf"},
+                   "RackSched/Malcolm intra-node dispatcher: cFCFS, Processor Sharing, "
+                   "or earliest deadline first");
 
   std::string error;
   if (!parser.Parse(argc, argv, &error)) {
@@ -116,9 +119,7 @@ int main(int argc, char** argv) {
   config.jbsq_k = static_cast<uint32_t>(jbsq_k);
   config.priority_levels = static_cast<size_t>(priority_levels);
   config.locality_access_model = locality_access;
-  config.racksched_intra_policy = racksched_ps
-                                      ? baselines::IntraNodePolicy::kProcessorSharing
-                                      : baselines::IntraNodePolicy::kFcfs;
+  baselines::IntraNodePolicyFromName(racksched_intra, &config.racksched_intra_policy);
   config.max_tasks_per_packet = 1;
   config.warmup = FromMillis(warmup_ms);
   config.horizon = FromMillis(duration_ms);
@@ -154,6 +155,12 @@ int main(int argc, char** argv) {
       config.workload.taggers.push_back(
           workload::TaggerStage::Priority(workload::PaperPriorityMix(), config.seed));
     }
+  }
+
+  const std::string config_error = config.Validate();
+  if (!config_error.empty()) {
+    std::fprintf(stderr, "error: %s\n", config_error.c_str());
+    return 2;
   }
 
   std::printf("scheduler=%s policy=%s workers=%zu executors=%zu workload=%s\n",

@@ -21,6 +21,12 @@ add_test(NAME example_quickstart COMMAND example_quickstart)
 add_test(NAME example_gpu_inference COMMAND example_gpu_inference)
 add_test(NAME example_cluster_sim
          COMMAND example_cluster_sim --utilization=0.4 --duration-ms=10)
+# RackSched-EDF is RackSched with the EDF intra-node dispatcher.
+add_test(NAME example_cluster_sim_racksched_edf
+         COMMAND example_cluster_sim --scheduler=racksched --racksched-intra=edf
+                 --utilization=0.4 --duration-ms=10)
+set_tests_properties(example_cluster_sim_racksched_edf PROPERTIES
+                     PASS_REGULAR_EXPRESSION "completed +[1-9][0-9]* of")
 add_test(NAME example_list_schedulers COMMAND example_list_schedulers)
 # Replays the committed CSV trace (written by workload::SaveJobStream).
 add_test(NAME example_cluster_sim_trace

@@ -1,8 +1,8 @@
 // Enumerates the scheduler deployments registered in the DeploymentRegistry —
 // the single source of truth for scheduler-kind names, --scheduler flag
 // spellings, supported policies, and replication. A scheduler added through
-// one deployment file pair shows up here (and in every bench's --scheduler
-// choices) without touching this file.
+// one deployment and its registration function shows up here (and in every
+// bench's --scheduler choices) without touching this file.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -99,8 +99,8 @@ int main(int argc, char** argv) {
                 info.multi_scheduler ? "yes" : "no", policies.c_str(),
                 switch_policies.c_str());
   }
-  std::printf("\nAdd a scheduler by writing one deployment file pair next to it and\n"
-              "registering it in the DeploymentRegistry constructor — every bench,\n"
+  std::printf("\nAdd a scheduler by writing one deployment for it and registering\n"
+              "it in the DeploymentRegistry constructor — every bench,\n"
               "name lookup, and the experiment smoke matrix pick it up from there.\n");
-  return registry.all().size() == 8 ? 0 : 1;
+  return registry.all().size() == 7 ? 0 : 1;
 }

@@ -4,6 +4,8 @@
 #ifndef DRACONIS_BASELINES_INTRA_NODE_POLICY_H_
 #define DRACONIS_BASELINES_INTRA_NODE_POLICY_H_
 
+#include <string>
+
 namespace draconis::baselines {
 
 enum class IntraNodePolicy {
@@ -11,6 +13,30 @@ enum class IntraNodePolicy {
   kProcessorSharing,  // preemptive equal sharing of the cores (heavy-tailed)
   kEdf,               // earliest-deadline-first over the TPROPS deadline tags
 };
+
+// Round-trippable policy name ("fcfs", "ps", "edf").
+inline const char* IntraNodePolicyName(IntraNodePolicy policy) {
+  switch (policy) {
+    case IntraNodePolicy::kFcfs:
+      return "fcfs";
+    case IntraNodePolicy::kProcessorSharing:
+      return "ps";
+    case IntraNodePolicy::kEdf:
+      return "edf";
+  }
+  return "?";
+}
+
+inline bool IntraNodePolicyFromName(const std::string& name, IntraNodePolicy* out) {
+  for (IntraNodePolicy policy : {IntraNodePolicy::kFcfs, IntraNodePolicy::kProcessorSharing,
+                                 IntraNodePolicy::kEdf}) {
+    if (name == IntraNodePolicyName(policy)) {
+      *out = policy;
+      return true;
+    }
+  }
+  return false;
+}
 
 }  // namespace draconis::baselines
 

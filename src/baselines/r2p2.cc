@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "baselines/push_worker.h"
 #include "common/check.h"
 
 namespace draconis::baselines {
@@ -144,17 +145,8 @@ void R2P2Worker::TryRun(size_t local) {
 
   net::TaskInfo task = std::move(pkt.tasks.at(0));
   const net::NodeId client = pkt.client_addr;
-  const TimeNs exec_start = simulator_->Now() + pickup_overhead_;
-  if (metrics_->FirstExecution(task.id)) {
-    metrics_->RecordAssignment(task, simulator_->Now());
-    metrics_->RecordExecutionStart(task, exec_start);
-  } else {
-    // Duplicate execution (timeout resubmission or a straggler hedge): its
-    // occupancy is the marginal cost of replication — docs/dag.md.
-    metrics_->RecordWastedWork(task.meta.exec_duration);
-  }
-  const TimeNs done = exec_start + task.meta.exec_duration;
-  metrics_->RecordBusyInterval(simulator_->Now(), done);
+  const TimeNs now = simulator_->Now();
+  const TimeNs done = StartPushedTask(*metrics_, task, now, now + pickup_overhead_);
   simulator_->ScheduleAt(done, [this, local, task = std::move(task), client]() mutable {
     FinishTask(local, std::move(task), client);
   });
@@ -171,14 +163,7 @@ void R2P2Worker::FinishTask(size_t local, net::TaskInfo task, net::NodeId client
   credit.exec_props = static_cast<uint32_t>(slot.global_slot);
   network_->Send(node_id_, std::move(credit));
 
-  // Response to the client.
-  if (client != net::kInvalidNode) {
-    net::Packet notice;
-    notice.op = net::OpCode::kCompletionNotice;
-    notice.dst = client;
-    notice.tasks = {std::move(task)};
-    network_->Send(node_id_, std::move(notice));
-  }
+  SendCompletionNotice(*network_, node_id_, client, std::move(task));
 
   slot.busy = false;
   TryRun(local);

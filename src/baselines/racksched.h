@@ -15,14 +15,15 @@
 //
 // Intra-node: each worker runs a dispatcher that adds a few microseconds of
 // overhead per task — the overhead visible in the paper's Fig. 5a/6 even at
-// low load. Two intra-node policies, as RackSched prescribes (§2.2):
+// low load. The policy is ExperimentConfig::racksched_intra_policy; the two
+// RackSched prescribes (§2.2) plus a deadline-aware one:
 //   - cFCFS without preemption (their recommendation for light-tailed
-//     workloads; the default everywhere in the paper's comparison), and
+//     workloads; the default everywhere in the paper's comparison),
 //   - Processor Sharing with preemption (their recommendation for
 //     heavy-tailed workloads): all admitted tasks share the node's cores
 //     equally, so short tasks are not stuck behind long ones, and
-//   - EDF without preemption (the racksched-edf deployment): the dispatcher
-//     picks the queued task with the earliest absolute deadline
+//   - EDF without preemption (the RackSched-EDF series of the benches): the
+//     dispatcher picks the queued task with the earliest absolute deadline
 //     (enqueue_time + TPROPS us, the deadline-tagger encoding); untagged
 //     streams degenerate to cFCFS because every deadline equals the enqueue
 //     time.
@@ -103,6 +104,9 @@ class RackSchedWorker : public net::Endpoint {
   // deadline (stable on ties) for EDF.
   size_t NextQueueIndex() const;
   void FinishTask(size_t core, net::TaskInfo task, net::NodeId client);
+  // Both modes: records the node completion, credits the switch, and sends
+  // the client its completion notice.
+  void Complete(net::TaskInfo task, net::NodeId client);
   void SendCredit(const net::TaskInfo& task);
 
   // --- Processor-Sharing mode ---
@@ -115,7 +119,6 @@ class RackSchedWorker : public net::Endpoint {
   // Ages all running tasks to `now` at the current sharing rate and
   // reschedules the next-completion event.
   void PsReschedule();
-  void PsComplete(net::TaskInfo task, net::NodeId client);
   double PsRate() const;  // per-task service rate (cores / tasks, capped at 1)
 
   sim::Simulator* simulator_;

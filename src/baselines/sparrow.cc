@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "baselines/push_worker.h"
 #include "common/check.h"
 
 namespace draconis::baselines {
@@ -121,17 +122,8 @@ void SparrowWorker::HandlePacket(net::Packet pkt) {
 
       net::TaskInfo task = std::move(pkt.tasks.at(0));
       const net::NodeId client = pkt.client_addr;
-      const TimeNs exec_start = simulator_->Now() + pickup_overhead_;
-      if (metrics_->FirstExecution(task.id)) {
-        metrics_->RecordAssignment(task, simulator_->Now());
-        metrics_->RecordExecutionStart(task, exec_start);
-      } else {
-        // Duplicate execution (timeout resubmission or a straggler hedge):
-        // its occupancy is the marginal cost of replication — docs/dag.md.
-        metrics_->RecordWastedWork(task.meta.exec_duration);
-      }
-      const TimeNs done = exec_start + task.meta.exec_duration;
-      metrics_->RecordBusyInterval(simulator_->Now(), done);
+      const TimeNs now = simulator_->Now();
+      const TimeNs done = StartPushedTask(*metrics_, task, now, now + pickup_overhead_);
       simulator_->ScheduleAt(done, [this, core, task = std::move(task), client]() mutable {
         FinishTask(core, std::move(task), client);
       });
@@ -179,13 +171,7 @@ void SparrowWorker::TryDispatch() {
 
 void SparrowWorker::FinishTask(size_t core, net::TaskInfo task, net::NodeId client) {
   metrics_->RecordNodeCompletion(worker_node_, simulator_->Now());
-  if (client != net::kInvalidNode) {
-    net::Packet notice;
-    notice.op = net::OpCode::kCompletionNotice;
-    notice.dst = client;
-    notice.tasks = {std::move(task)};
-    network_->Send(node_id_, std::move(notice));
-  }
+  SendCompletionNotice(*network_, node_id_, client, std::move(task));
   core_busy_[core] = false;
   TryDispatch();
 }

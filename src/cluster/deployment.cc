@@ -3,11 +3,7 @@
 #include <cctype>
 #include <utility>
 
-#include "baselines/central_server_deployment.h"
-#include "baselines/malcolm_deployment.h"
-#include "baselines/r2p2_deployment.h"
-#include "baselines/racksched_deployment.h"
-#include "baselines/sparrow_deployment.h"
+#include "baselines/deployments.h"
 #include "common/check.h"
 #include "core/draconis_deployment.h"
 
@@ -135,7 +131,6 @@ DeploymentRegistry::DeploymentRegistry() {
   infos_.push_back(baselines::RackSchedDeploymentInfo());
   infos_.push_back(baselines::SparrowDeploymentInfo());
   infos_.push_back(baselines::MalcolmDeploymentInfo());
-  infos_.push_back(baselines::RackSchedEdfDeploymentInfo());
   for (size_t i = 0; i < infos_.size(); ++i) {
     DRACONIS_CHECK_MSG(static_cast<size_t>(infos_[i].kind) == i,
                        "registry order must match the SchedulerKind enum");

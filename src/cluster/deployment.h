@@ -4,8 +4,9 @@
 // SchedulerKind — how the scheduler is constructed on a Testbed, how its
 // worker side is wired, which client quirks it needs, and how its counters
 // are harvested — behind one interface, so RunExperiment stays a kind-blind
-// orchestrator and adding a scheduler means adding one deployment file pair
-// next to the scheduler (see DESIGN.md §"Testbed & deployments").
+// orchestrator and adding a scheduler means adding one deployment class and
+// its DeploymentInfo registration function (the baselines' are file-local to
+// baselines/deployments.cc; see DESIGN.md §"Testbed & deployments").
 //
 // Deployments register in the DeploymentRegistry, which is the single source
 // of truth for scheduler-kind names (SchedulerKindName/FromName), the bench
@@ -151,6 +152,10 @@ struct DeploymentInfo {
   // multi-rack ClusterTopology (docs/topology.md); configs with
   // cluster.enabled() are rejected for other kinds by Validate.
   bool multi_rack = false;
+  // Whether the kind's workers run RackSched's intra-node dispatcher and so
+  // honor racksched_intra_policy (RackSched, Malcolm); a non-FCFS policy is
+  // rejected for other kinds by Validate.
+  bool intra_node_dispatcher = false;
   DeploymentFactory make;
 };
 

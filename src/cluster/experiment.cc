@@ -102,6 +102,12 @@ std::string ExperimentConfig::Validate() const {
     return std::string(info.canonical_name) + " ignores policy '" +
            PolicyKindName(policy) + "'; it only supports its own scheduling discipline";
   }
+  if (racksched_intra_policy != baselines::IntraNodePolicy::kFcfs &&
+      !info.intra_node_dispatcher) {
+    return std::string(info.canonical_name) + " has no intra-node dispatcher; "
+           "racksched_intra_policy '" + baselines::IntraNodePolicyName(racksched_intra_policy) +
+           "' needs RackSched's two-layer workers (racksched, malcolm)";
+  }
   if (policy == PolicyKind::kResource && worker_resources.size() < num_workers) {
     return "resource policy needs a worker_resources bitmap for every worker (" +
            std::to_string(worker_resources.size()) + " given, " +

@@ -15,8 +15,8 @@
 // per-scheduler baseline headers (their counters are flattened into
 // SchedulerCounters) so that adding or reworking a scheduler does not ripple
 // through every bench TU. Adding a scheduler kind means adding one
-// deployment file pair next to the scheduler and one registry line — see
-// DESIGN.md ("Testbed & deployments").
+// deployment and one registry line — see DESIGN.md ("Testbed &
+// deployments").
 
 #ifndef DRACONIS_CLUSTER_EXPERIMENT_H_
 #define DRACONIS_CLUSTER_EXPERIMENT_H_
@@ -50,8 +50,7 @@ enum class SchedulerKind {
   kR2P2,
   kRackSched,
   kSparrow,
-  kMalcolm,       // latency-distribution-aware balancer (baselines/malcolm.h)
-  kRackSchedEdf,  // RackSched with an EDF intra-node dispatcher
+  kMalcolm,  // latency-distribution-aware balancer (baselines/malcolm.h)
 };
 
 // Canonical display name ("Draconis", "R2P2", ...).
@@ -59,8 +58,8 @@ const char* SchedulerKindName(SchedulerKind kind);
 
 // Parses a scheduler name — the canonical display name or its lower-case
 // flag spelling ("draconis", "dpdk-server", "socket-server", "r2p2",
-// "racksched", "sparrow", "malcolm", "racksched-edf") — into *out. Returns
-// false on an unknown name.
+// "racksched", "sparrow", "malcolm") — into *out. Returns false on an
+// unknown name.
 bool SchedulerKindFromName(const std::string& name, SchedulerKind* out);
 
 enum class PolicyKind { kFcfs, kPriority, kResource, kLocality };
@@ -91,7 +90,7 @@ struct ExperimentConfig {
   // Scheduler-specific knobs.
   uint32_t jbsq_k = 3;                                   // R2P2
   baselines::IntraNodePolicy racksched_intra_policy =
-      baselines::IntraNodePolicy::kFcfs;                 // RackSched (§2.2)
+      baselines::IntraNodePolicy::kFcfs;                 // RackSched, Malcolm (§2.2)
   size_t priority_levels = 4;                            // Draconis priority
   core::LocalityPolicy::Limits locality_limits{};        // Draconis locality
   bool locality_access_model = false;                    // data-fetch penalty

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "baselines/intra_node_policy.h"
 #include "sim/event_queue.h"
 #include "stats/histogram.h"
 
@@ -188,6 +189,11 @@ std::string RenderJson(const SweepSpec& spec, const std::vector<SweepPointResult
       // in tests/sweep_test.cc) stays byte-identical.
       if (config.switch_policy != core::SwitchPolicy::kFifo) {
         w.Key("switch_policy").String(core::SwitchPolicyName(config.switch_policy));
+      }
+      // Likewise only for a non-FCFS RackSched/Malcolm intra-node dispatcher.
+      if (config.racksched_intra_policy != baselines::IntraNodePolicy::kFcfs) {
+        w.Key("racksched_intra_policy")
+            .String(baselines::IntraNodePolicyName(config.racksched_intra_policy));
       }
       w.Key("sim_queue").String(sim::QueueBackendName(config.sim_queue));
       w.Key("seed").UInt(config.seed);

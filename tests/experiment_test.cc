@@ -97,6 +97,47 @@ TEST(ExperimentTest, RackSchedIntraPolicyIsWiredThrough) {
             fcfs.metrics->sched_delay().Percentile(0.99));
 }
 
+TEST(ExperimentTest, IntraNodePolicyIsRejectedWithoutAnIntraNodeDispatcher) {
+  // Draconis's executors have no intra-node dispatcher: Processor Sharing
+  // would silently run as FCFS, so the config is refused.
+  ExperimentConfig config = TinyConfig();
+  config.racksched_intra_policy = baselines::IntraNodePolicy::kProcessorSharing;
+  EXPECT_NE(config.Validate().find("no intra-node dispatcher"), std::string::npos)
+      << config.Validate();
+  EXPECT_THROW(RunExperiment(config), CheckFailure);
+}
+
+TEST(ExperimentTest, IntraNodePolicyFollowsTheRegistryBit) {
+  ExperimentConfig config = TinyConfig();
+  for (const DeploymentInfo& info : DeploymentRegistry::Get().all()) {
+    SCOPED_TRACE(info.canonical_name);
+    config.scheduler = info.kind;
+    for (baselines::IntraNodePolicy intra :
+         {baselines::IntraNodePolicy::kProcessorSharing, baselines::IntraNodePolicy::kEdf}) {
+      config.racksched_intra_policy = intra;
+      EXPECT_EQ(config.Validate().empty(), info.intra_node_dispatcher);
+    }
+    config.racksched_intra_policy = baselines::IntraNodePolicy::kFcfs;
+    EXPECT_EQ(config.Validate(), "");
+  }
+  EXPECT_TRUE(DeploymentRegistry::Get().Info(SchedulerKind::kRackSched).intra_node_dispatcher);
+  EXPECT_TRUE(DeploymentRegistry::Get().Info(SchedulerKind::kMalcolm).intra_node_dispatcher);
+}
+
+TEST(ExperimentTest, IntraNodePolicyNamesRoundTrip) {
+  for (baselines::IntraNodePolicy policy :
+       {baselines::IntraNodePolicy::kFcfs, baselines::IntraNodePolicy::kProcessorSharing,
+        baselines::IntraNodePolicy::kEdf}) {
+    baselines::IntraNodePolicy parsed = baselines::IntraNodePolicy::kFcfs;
+    ASSERT_TRUE(baselines::IntraNodePolicyFromName(baselines::IntraNodePolicyName(policy),
+                                                   &parsed));
+    EXPECT_EQ(parsed, policy);
+  }
+  baselines::IntraNodePolicy untouched = baselines::IntraNodePolicy::kEdf;
+  EXPECT_FALSE(baselines::IntraNodePolicyFromName("srpt", &untouched));
+  EXPECT_EQ(untouched, baselines::IntraNodePolicy::kEdf);
+}
+
 TEST(ExperimentTest, PipelineOverridesAreHonored) {
   ExperimentConfig config = TinyConfig();
   config.scheduler = SchedulerKind::kR2P2;
@@ -363,7 +404,7 @@ TEST(FeederRunTest, WarmupIsCheckedAgainstTheFeedersLastArrival) {
 
 TEST(DeploymentRegistryTest, EnumeratesAllKindsInEnumOrder) {
   const std::vector<DeploymentInfo>& infos = DeploymentRegistry::Get().all();
-  ASSERT_EQ(infos.size(), 8u);
+  ASSERT_EQ(infos.size(), 7u);
   for (size_t i = 0; i < infos.size(); ++i) {
     EXPECT_EQ(static_cast<size_t>(infos[i].kind), i);
     EXPECT_STREQ(SchedulerKindName(infos[i].kind), infos[i].canonical_name);
@@ -374,7 +415,7 @@ TEST(DeploymentRegistryTest, FlagChoicesMatchRegistration) {
   const std::vector<std::string> choices = DeploymentRegistry::Get().FlagChoices();
   const std::vector<std::string> expected = {"draconis",  "dpdk-server", "socket-server",
                                              "r2p2",      "racksched",   "sparrow",
-                                             "malcolm",   "racksched-edf"};
+                                             "malcolm"};
   EXPECT_EQ(choices, expected);
 }
 
@@ -389,51 +430,60 @@ TEST(DeploymentRegistryTest, FindByNameAcceptsCanonicalAndFlagSpellings) {
 }
 
 // Registry-driven smoke matrix: every registered kind (x every policy it
-// honors) pushes a tiny stream to completion and reports into the counter
-// fields that kind owns. A new scheduler registered in the DeploymentRegistry
-// is picked up here automatically.
+// honors, x every intra-node dispatcher when it has one) pushes a tiny stream
+// to completion and reports into the counter fields that kind owns. A new
+// scheduler registered in the DeploymentRegistry is picked up here
+// automatically.
 TEST(DeploymentRegistryTest, SmokeMatrixEveryKindCompletesAndHarvests) {
   for (const DeploymentInfo& info : DeploymentRegistry::Get().all()) {
+    std::vector<baselines::IntraNodePolicy> intras = {baselines::IntraNodePolicy::kFcfs};
+    if (info.intra_node_dispatcher) {
+      intras.push_back(baselines::IntraNodePolicy::kProcessorSharing);
+      intras.push_back(baselines::IntraNodePolicy::kEdf);
+    }
     for (PolicyKind policy : info.policies) {
-      SCOPED_TRACE(std::string(info.canonical_name) + " / " + PolicyKindName(policy));
-      ExperimentConfig config = TinyConfig(20000.0);  // 25%: everything drains
-      config.scheduler = info.kind;
-      config.policy = policy;
-      if (policy == PolicyKind::kResource) {
-        config.worker_resources = {0x1, 0x1};  // every worker can run tprops=0
-      }
-      ExperimentResult result = RunExperiment(config);
+      for (baselines::IntraNodePolicy intra : intras) {
+        SCOPED_TRACE(std::string(info.canonical_name) + " / " + PolicyKindName(policy) + " / " +
+                     baselines::IntraNodePolicyName(intra));
+        ExperimentConfig config = TinyConfig(20000.0);  // 25%: everything drains
+        config.scheduler = info.kind;
+        config.policy = policy;
+        config.racksched_intra_policy = intra;
+        if (policy == PolicyKind::kResource) {
+          config.worker_resources = {0x1, 0x1};  // every worker can run tprops=0
+        }
+        ExperimentResult result = RunExperiment(config);
 
-      EXPECT_GT(result.metrics->tasks_completed(), 0u);
-      EXPECT_GE(result.metrics->tasks_completed(),
-                result.metrics->tasks_submitted() * 9 / 10);
-      switch (info.kind) {
-        case SchedulerKind::kDraconis:
-          EXPECT_GT(result.counters.tasks_enqueued, 0u);
-          EXPECT_GT(result.counters.tasks_assigned, 0u);
-          EXPECT_GT(result.switch_counters.passes, 0u);
-          break;
-        case SchedulerKind::kDraconisDpdkServer:
-        case SchedulerKind::kDraconisSocketServer:
-          EXPECT_GT(result.counters.tasks_enqueued, 0u);
-          EXPECT_GT(result.counters.tasks_assigned, 0u);
-          break;
-        case SchedulerKind::kR2P2:
-          EXPECT_GT(result.counters.tasks_pushed, 0u);
-          EXPECT_GT(result.counters.credits, 0u);
-          EXPECT_GT(result.switch_counters.passes, 0u);
-          break;
-        case SchedulerKind::kRackSched:
-        case SchedulerKind::kMalcolm:
-        case SchedulerKind::kRackSchedEdf:
-          EXPECT_GT(result.counters.tasks_pushed, 0u);
-          EXPECT_GT(result.counters.credits, 0u);
-          EXPECT_GT(result.switch_counters.passes, 0u);
-          break;
-        case SchedulerKind::kSparrow:
-          EXPECT_GT(result.counters.probes_sent, 0u);
-          EXPECT_GT(result.counters.tasks_launched, 0u);
-          break;
+        EXPECT_GT(result.metrics->tasks_completed(), 0u);
+        EXPECT_GE(result.metrics->tasks_completed(),
+                  result.metrics->tasks_submitted() * 9 / 10);
+        switch (info.kind) {
+          case SchedulerKind::kDraconis:
+            EXPECT_GT(result.counters.tasks_enqueued, 0u);
+            EXPECT_GT(result.counters.tasks_assigned, 0u);
+            EXPECT_GT(result.switch_counters.passes, 0u);
+            break;
+          case SchedulerKind::kDraconisDpdkServer:
+          case SchedulerKind::kDraconisSocketServer:
+            EXPECT_GT(result.counters.tasks_enqueued, 0u);
+            EXPECT_GT(result.counters.tasks_assigned, 0u);
+            break;
+          case SchedulerKind::kR2P2:
+            EXPECT_GT(result.counters.tasks_pushed, 0u);
+            EXPECT_GT(result.counters.credits, 0u);
+            EXPECT_GT(result.switch_counters.passes, 0u);
+            break;
+          case SchedulerKind::kRackSched:
+          case SchedulerKind::kMalcolm:
+            EXPECT_GT(result.counters.tasks_pushed, 0u);
+            EXPECT_GT(result.counters.credits, 0u);
+            EXPECT_GT(result.switch_counters.passes, 0u);
+            break;
+          case SchedulerKind::kSparrow:
+            EXPECT_GT(result.counters.probes_sent, 0u);
+            EXPECT_GT(result.counters.tasks_launched, 0u);
+            break;
+        }
       }
     }
   }
