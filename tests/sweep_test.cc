@@ -290,6 +290,25 @@ TEST(SweepReportTest, GoldenDocument) {
   EXPECT_EQ(doc, expected);
 }
 
+// A non-FCFS intra-node dispatcher is echoed beside the scheduler kind (an
+// FCFS one is not, which keeps the golden above byte-equal): RackSched-EDF
+// points read as the RackSched kind plus the knob.
+TEST(SweepReportTest, EchoesANonFcfsIntraNodePolicy) {
+  SweepSpec spec;
+  spec.name = "intra";
+  SweepPoint point;
+  point.label = "edf";
+  point.config.scheduler = SchedulerKind::kRackSched;
+  point.config.racksched_intra_policy = baselines::IntraNodePolicy::kEdf;
+  spec.points.push_back(std::move(point));
+  spec.run = [](const ExperimentConfig&) { return ExperimentResult{}; };
+  const std::string doc = RenderJson(spec, RunSweep(spec, {}), ReportOptions{});
+  EXPECT_NE(doc.find("\"scheduler\": \"RackSched\",\n      \"policy\": \"fcfs\",\n"
+                     "      \"racksched_intra_policy\": \"edf\",\n      \"sim_queue\""),
+            std::string::npos)
+      << doc;
+}
+
 TEST(SweepReportTest, ResultJsonIncludesHistograms) {
   const workload::ServiceTime service = workload::ServiceTime::Fixed(FromMicros(100));
   ExperimentConfig config;
