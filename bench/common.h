@@ -23,6 +23,7 @@
 #include "cluster/deployment.h"
 #include "cluster/experiment.h"
 #include "common/flags.h"
+#include "common/names.h"
 #include "core/rank_function.h"
 #include "fault/plan.h"
 #include "sim/event_queue.h"
@@ -163,26 +164,6 @@ inline std::vector<SweepSystem> RegistrySystems(const std::string& choice) {
   return systems;
 }
 
-// Valid values for the --switch-policy flag (AddChoice): the switch
-// queueing disciplines of docs/pifo.md, "fifo" first (the default).
-inline std::vector<std::string> SwitchPolicyChoices() {
-  std::vector<std::string> choices;
-  for (core::SwitchPolicy policy : core::AllSwitchPolicies()) {
-    choices.push_back(core::SwitchPolicyName(policy));
-  }
-  return choices;
-}
-
-// Valid values for the --sim-queue flag (AddChoice): the event-queue
-// backends of src/sim/event_queue.h, the default backend first.
-inline std::vector<std::string> SimQueueChoices() {
-  std::vector<std::string> choices;
-  for (sim::QueueBackend backend : sim::AllQueueBackends()) {
-    choices.push_back(sim::QueueBackendName(backend));
-  }
-  return choices;
-}
-
 // Drives one bench binary: owns the flag parser with the standard sweep
 // flags, executes the spec via sweep::RunSweep, and writes the --json /
 // --csv-dir reports. Bench-specific flags register through parser() before
@@ -221,19 +202,16 @@ class SweepRunner {
     parser_.AddString("fault-plan", &fault_plan_path_,
                       "apply this JSON fault plan to every sweep point "
                       "(docs/fault_injection.md)");
-    parser_.AddChoice("switch-policy", &switch_policy_, SwitchPolicyChoices(),
+    parser_.AddChoice("switch-policy", &switch_policy_, names::Names<core::SwitchPolicy>(),
                       "switch queueing discipline for every point (docs/pifo.md); "
                       "non-fifo values need a PIFO-capable kind — combine with "
                       "--scheduler=draconis");
-    parser_.AddChoice("sim-queue", &sim_queue_, SimQueueChoices(),
+    parser_.AddChoice("sim-queue", &sim_queue_, names::Names<sim::QueueBackend>(),
                       "event-queue backend for every point's simulator "
                       "(docs/simulation.md); both produce bit-identical runs");
-    std::string workload_doc = "arrival process override for every spec-driven point (";
-    for (size_t i = 0; i < workload::ArrivalKindNames().size(); ++i) {
-      workload_doc += (i > 0 ? ", " : "") + workload::ArrivalKindNames()[i];
-    }
-    workload_doc += "; docs/workloads.md)";
-    parser_.AddString("workload", &workload_override_, workload_doc);
+    parser_.AddChoice("workload", &workload_override_, names::Names<workload::ArrivalKind>(),
+                      "arrival process override for every spec-driven point "
+                      "(docs/workloads.md)");
     std::string service_doc =
         "service-time model override for every spec-driven point, e.g. ";
     for (size_t i = 0; i < workload::ServiceTime::NameTemplates().size(); ++i) {
@@ -257,13 +235,8 @@ class SweepRunner {
   // no-fault baseline series next to it). Returns false when the flag was
   // not passed.
   bool TakeFaultPlan(fault::FaultPlan* out) {
-    if (fault_plan_path_.empty()) {
+    if (!LoadFaultPlan(out)) {
       return false;
-    }
-    std::string error;
-    if (!fault::FaultPlan::FromJsonFile(fault_plan_path_, out, &error)) {
-      std::fprintf(stderr, "--fault-plan: %s\n", error.c_str());
-      std::exit(2);
     }
     fault_plan_path_.clear();
     return true;
@@ -288,126 +261,75 @@ class SweepRunner {
       const sweep::SweepSpec& spec,
       const std::function<void(std::vector<sweep::SweepPointResult>&)>& annotate = nullptr) {
     PrintHeader(figure_.c_str(), description_.c_str());
-    // --trace: run the same points with the recorder enabled. Sampling is a
-    // pure hash of each task id, so traced results are bit-identical to
-    // untraced ones (tests/determinism_test.cc).
-    const sweep::SweepSpec* active = &spec;
-    sweep::SweepSpec modified;
-    const std::string default_sim_queue =
-        sim::QueueBackendName(sim::kDefaultQueueBackend);
-    const bool workload_overrides = !workload_override_.empty() ||
-                                    !service_time_override_.empty() ||
-                                    heavy_tail_prob_ > 0.0;
-    if (trace_ || !fault_plan_path_.empty() || switch_policy_ != "fifo" ||
-        sim_queue_ != default_sim_queue || workload_overrides) {
-      modified = spec;
+    // Every flag override applies to every point in one pass, then each
+    // point is validated once.
+    sweep::SweepSpec active = spec;
+    workload::ArrivalKind arrival = workload::ArrivalKind::kNone;
+    names::Parse(workload_override_, &arrival);  // choices pre-validated; "" keeps kNone
+    workload::ServiceTime service = workload::ServiceTime::Fixed(FromMicros(500));
+    std::string error;
+    if (!service_time_override_.empty() &&
+        !workload::ServiceTime::FromName(service_time_override_, &service, &error)) {
+      std::fprintf(stderr, "--service-time: %s\n", error.c_str());
+      std::exit(2);
+    }
+    const bool workload_overrides = arrival != workload::ArrivalKind::kNone ||
+                                    !service_time_override_.empty() || heavy_tail_prob_ > 0.0;
+    if (workload_overrides &&
+        (heavy_tail_prob_ < 0.0 || heavy_tail_prob_ > 1.0 || heavy_tail_mult_ <= 0.0)) {
+      std::fprintf(stderr, "--heavy-tail-prob must be in [0, 1] and --heavy-tail-mult > 0\n");
+      std::exit(2);
+    }
+    sim::QueueBackend backend = sim::kDefaultQueueBackend;
+    names::Parse(sim_queue_, &backend);
+    core::SwitchPolicy switch_policy = core::SwitchPolicy::kFifo;
+    names::Parse(switch_policy_, &switch_policy);
+    fault::FaultPlan plan;
+    const bool apply_plan = LoadFaultPlan(&plan);
+    for (sweep::SweepPoint& point : active.points) {
+      cluster::ExperimentConfig& config = point.config;
       // --workload / --service-time / --heavy-tail-*: reshape every point
       // that runs on a declarative WorkloadSpec (docs/workloads.md); points
       // without one (DAG runs) are left alone.
-      if (workload_overrides) {
-        workload::ArrivalKind arrival = workload::ArrivalKind::kNone;
-        if (!workload_override_.empty() &&
-            !workload::ArrivalKindFromName(workload_override_, &arrival)) {
-          std::fprintf(stderr, "--workload: unknown arrival process '%s'\n",
-                       workload_override_.c_str());
-          std::exit(2);
+      if (config.workload.enabled()) {
+        if (arrival != workload::ArrivalKind::kNone) {
+          config.workload.arrival = arrival;
         }
-        workload::ServiceTime service = workload::ServiceTime::Fixed(FromMicros(500));
-        bool have_service = false;
         if (!service_time_override_.empty()) {
-          std::string error;
-          if (!workload::ServiceTime::FromName(service_time_override_, &service, &error)) {
-            std::fprintf(stderr, "--service-time: %s\n", error.c_str());
-            std::exit(2);
-          }
-          have_service = true;
+          config.workload.service = service;
         }
-        if (heavy_tail_prob_ < 0.0 || heavy_tail_prob_ > 1.0 || heavy_tail_mult_ <= 0.0) {
-          std::fprintf(stderr,
-                       "--heavy-tail-prob must be in [0, 1] and --heavy-tail-mult > 0\n");
-          std::exit(2);
-        }
-        for (sweep::SweepPoint& point : modified.points) {
-          if (!point.config.workload.enabled()) {
-            continue;
-          }
-          if (arrival != workload::ArrivalKind::kNone) {
-            point.config.workload.arrival = arrival;
-          }
-          if (have_service) {
-            point.config.workload.service = service;
-          }
-          if (heavy_tail_prob_ > 0.0) {
-            point.config.workload.service = workload::ServiceTime::HeavyTail(
-                point.config.workload.service, heavy_tail_prob_, heavy_tail_mult_);
-          }
-          const std::string invalid = point.config.Validate();
-          if (!invalid.empty()) {
-            std::fprintf(stderr, "--workload/--service-time: point %s: %s\n",
-                         point.label.c_str(), invalid.c_str());
-            std::exit(2);
-          }
+        if (heavy_tail_prob_ > 0.0) {
+          config.workload.service = workload::ServiceTime::HeavyTail(
+              config.workload.service, heavy_tail_prob_, heavy_tail_mult_);
         }
       }
-      // --sim-queue: the same event-queue backend in every point's
-      // simulator. Results are bit-identical across backends (the (time,
+      // --sim-queue: results are bit-identical across backends (the (time,
       // seq) contract); the flag exists for cross-checking exactly that and
       // for timing comparisons.
-      if (sim_queue_ != default_sim_queue) {
-        sim::QueueBackend backend = sim::kDefaultQueueBackend;
-        sim::QueueBackendFromName(sim_queue_, &backend);  // choices pre-validated
-        for (sweep::SweepPoint& point : modified.points) {
-          point.config.sim_queue = backend;
-          const std::string invalid = point.config.Validate();
-          if (!invalid.empty()) {
-            std::fprintf(stderr, "--sim-queue: point %s: %s\n", point.label.c_str(),
-                         invalid.c_str());
-            std::exit(2);
-          }
-        }
+      if (backend != sim::kDefaultQueueBackend) {
+        config.sim_queue = backend;
       }
-      // --switch-policy: the same switch queueing discipline on every point.
-      // Points whose scheduler kind cannot host a PIFO fail validation, so a
-      // mixed-kind sweep needs a --scheduler filter first.
-      if (switch_policy_ != "fifo") {
-        core::SwitchPolicy sp = core::SwitchPolicy::kFifo;
-        core::SwitchPolicyFromName(switch_policy_, &sp);  // choices pre-validated
-        for (sweep::SweepPoint& point : modified.points) {
-          point.config.switch_policy = sp;
-          const std::string invalid = point.config.Validate();
-          if (!invalid.empty()) {
-            std::fprintf(stderr, "--switch-policy: point %s: %s\n", point.label.c_str(),
-                         invalid.c_str());
-            std::exit(2);
-          }
-        }
+      // --switch-policy: points whose scheduler kind cannot host a PIFO fail
+      // validation, so a mixed-kind sweep needs a --scheduler filter first.
+      if (switch_policy != core::SwitchPolicy::kFifo) {
+        config.switch_policy = switch_policy;
       }
+      // --trace: sampling is a pure hash of each task id, so traced results
+      // are bit-identical to untraced ones (tests/determinism_test.cc).
       if (trace_) {
-        for (sweep::SweepPoint& point : modified.points) {
-          point.config.trace.enabled = true;
-          point.config.trace.sample_period =
-              trace_sample_ <= 0 ? 1 : static_cast<uint64_t>(trace_sample_);
-        }
+        config.trace.enabled = true;
+        config.trace.sample_period =
+            trace_sample_ <= 0 ? 1 : static_cast<uint64_t>(trace_sample_);
       }
       // --fault-plan: the same deterministic fault timeline on every point.
-      if (!fault_plan_path_.empty()) {
-        fault::FaultPlan plan;
-        std::string error;
-        if (!fault::FaultPlan::FromJsonFile(fault_plan_path_, &plan, &error)) {
-          std::fprintf(stderr, "--fault-plan: %s\n", error.c_str());
-          std::exit(2);
-        }
-        for (sweep::SweepPoint& point : modified.points) {
-          point.config.fault_plan = plan;
-          const std::string invalid = point.config.Validate();
-          if (!invalid.empty()) {
-            std::fprintf(stderr, "--fault-plan: point %s: %s\n", point.label.c_str(),
-                         invalid.c_str());
-            std::exit(2);
-          }
-        }
+      if (apply_plan) {
+        config.fault_plan = plan;
       }
-      active = &modified;
+      const std::string invalid = config.Validate();
+      if (!invalid.empty()) {
+        std::fprintf(stderr, "point %s: %s\n", point.label.c_str(), invalid.c_str());
+        std::exit(2);
+      }
     }
     sweep::SweepOptions options;
     options.parallelism = parallelism_ < 0 ? 1 : static_cast<size_t>(parallelism_);
@@ -417,7 +339,7 @@ class SweepRunner {
         std::fprintf(stderr, "[%zu/%zu] %s\n", completed, total, done.label.c_str());
       };
     }
-    std::vector<sweep::SweepPointResult> results = sweep::RunSweep(*active, options);
+    std::vector<sweep::SweepPointResult> results = sweep::RunSweep(active, options);
     if (annotate) {
       annotate(results);
     }
@@ -440,19 +362,31 @@ class SweepRunner {
     sweep::ReportOptions report;
     report.parallelism = sweep::EffectiveParallelism(options.parallelism, spec.points.size());
     report.quick = Quick();
-    // Report against *active, not spec: per-point flag overrides
+    // Report against active, not spec: per-point flag overrides
     // (--sim-queue, --switch-policy, --fault-plan) must be visible in the
     // recorded configs.
     if (!json_path_.empty()) {
-      sweep::WriteJsonFile(json_path_, *active, results, report);
+      sweep::WriteJsonFile(json_path_, active, results, report);
     }
     if (!csv_dir_.empty()) {
-      sweep::WriteCsvDir(csv_dir_, *active, results);
+      sweep::WriteCsvDir(csv_dir_, active, results);
     }
     return results;
   }
 
  private:
+  // Loads the --fault-plan file, exiting on a parse error; false when the
+  // flag was not passed.
+  bool LoadFaultPlan(fault::FaultPlan* out) const {
+    std::string error;
+    if (!fault_plan_path_.empty() &&
+        !fault::FaultPlan::FromJsonFile(fault_plan_path_, out, &error)) {
+      std::fprintf(stderr, "--fault-plan: %s\n", error.c_str());
+      std::exit(2);
+    }
+    return !fault_plan_path_.empty();
+  }
+
   std::string figure_;
   std::string description_;
   flags::Parser parser_;
@@ -469,7 +403,7 @@ class SweepRunner {
   double heavy_tail_prob_ = 0.0;
   double heavy_tail_mult_ = 10.0;
   std::string switch_policy_ = "fifo";
-  std::string sim_queue_ = sim::QueueBackendName(sim::kDefaultQueueBackend);
+  std::string sim_queue_ = names::Name(sim::kDefaultQueueBackend);
   TimeNs horizon_ = RunHorizon();
 };
 

@@ -151,7 +151,7 @@ int main(int argc, char** argv) {
 
   for (double util : utilizations) {
     std::printf("\n--- offered load %.0f%% of capacity (%s, %ux%u) ---\n", 100.0 * util,
-                dag::DagShapeName(base.shape), base.depth, base.width);
+                names::Name(base.shape), base.depth, base.width);
     std::printf("%-34s %10s %10s %8s %8s %8s\n", "system", "p50 mkspan", "p99 mkspan",
                 "hedges", "wins", "waste%");
     size_t i = 0;

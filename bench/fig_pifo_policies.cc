@@ -103,8 +103,9 @@ int main(int argc, char** argv) {
   spec.name = "pifo_policies";
   spec.title = "switch queueing disciplines on the fig05a/fig05b workloads";
   spec.axis = {"offered utilization", "fraction"};
-  for (core::SwitchPolicy policy : core::AllSwitchPolicies()) {
-    const char* pname = core::SwitchPolicyName(policy);
+  const std::vector<core::SwitchPolicy> policies = names::Values<core::SwitchPolicy>();
+  for (core::SwitchPolicy policy : policies) {
+    const char* pname = names::Name(policy);
     for (const Family& family : families) {
       for (double util : utils) {
         sweep::SweepPoint point;
@@ -155,7 +156,7 @@ int main(int argc, char** argv) {
     std::printf(" %23s", head);
   }
   std::printf("\n");
-  for (size_t p = 0; p < core::AllSwitchPolicies().size(); ++p) {
+  for (size_t p = 0; p < policies.size(); ++p) {
     for (size_t f = 0; f < families.size(); ++f) {
       const size_t base = p * per_policy + f * utils.size();
       std::printf("%-16s", results[base].series.c_str());
@@ -175,7 +176,7 @@ int main(int argc, char** argv) {
     std::printf(" %23s", head);
   }
   std::printf("\n");
-  for (size_t p = 0; p < core::AllSwitchPolicies().size(); ++p) {
+  for (size_t p = 0; p < policies.size(); ++p) {
     for (size_t f = 0; f < families.size(); ++f) {
       const size_t base = p * per_policy + f * utils.size();
       std::printf("%-16s", results[base].series.c_str());
@@ -188,10 +189,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nno-op decision rate (fig05b workload, 26 executors):\n");
-  for (size_t p = 0; p < core::AllSwitchPolicies().size(); ++p) {
+  for (size_t p = 0; p < policies.size(); ++p) {
     const sweep::SweepPointResult& noop = results[p * per_policy + per_policy - 1];
-    std::printf("  %-6s %8.2f M decisions/s\n",
-                core::SwitchPolicyName(core::AllSwitchPolicies()[p]),
+    std::printf("  %-6s %8.2f M decisions/s\n", names::Name(policies[p]),
                 noop.result.throughput_tps / 1e6);
   }
 

@@ -17,38 +17,15 @@
 #include <cstdio>
 #include <string>
 
-#include "cluster/deployment.h"
 #include "cluster/experiment.h"
 #include "cluster/feeder.h"
 #include "common/flags.h"
+#include "common/names.h"
 #include "workload/trace_io.h"
 #include "workload/workload.h"
 
 using namespace draconis;
 using namespace draconis::cluster;
-
-namespace {
-
-// Registry-driven: any scheduler registered in the DeploymentRegistry is
-// accepted by canonical or flag spelling, with no per-example switch to keep
-// in sync (see examples/list_schedulers.cpp --flags-only for the list).
-bool ParseScheduler(const std::string& name, SchedulerKind* kind) {
-  const DeploymentInfo* info = DeploymentRegistry::Get().FindByName(name);
-  if (info == nullptr) return false;
-  *kind = info->kind;
-  return true;
-}
-
-bool ParsePolicy(const std::string& name, PolicyKind* kind) {
-  if (name == "fcfs") *kind = PolicyKind::kFcfs;
-  else if (name == "priority") *kind = PolicyKind::kPriority;
-  else if (name == "locality") *kind = PolicyKind::kLocality;
-  else if (name == "resource") *kind = PolicyKind::kResource;
-  else return false;
-  return true;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string scheduler_name = "draconis";
@@ -73,8 +50,7 @@ int main(int argc, char** argv) {
   parser.AddString("scheduler", &scheduler_name,
                    "any registered kind (list_schedulers --flags-only), e.g. draconis | "
                    "racksched | malcolm");
-  parser.AddString("policy", &policy_name,
-                   "Draconis policy: fcfs | priority | locality | resource");
+  parser.AddChoice("policy", &policy_name, names::Names<PolicyKind>(), "Draconis policy");
   parser.AddString("trace", &trace_path,
                    "CSV trace to replay instead of the synthetic workload");
   parser.AddInt64("workers", &workers, "worker machines");
@@ -90,7 +66,7 @@ int main(int argc, char** argv) {
   parser.AddInt64("seed", &seed, "workload seed");
   parser.AddBool("locality-access", &locality_access,
                  "charge 0/20/100 us data-access penalties by placement");
-  parser.AddChoice("racksched-intra", &racksched_intra, {"fcfs", "ps", "edf"},
+  parser.AddChoice("racksched-intra", &racksched_intra, names::Names<baselines::IntraNodePolicy>(),
                    "RackSched/Malcolm intra-node dispatcher: cFCFS, Processor Sharing, "
                    "or earliest deadline first");
 
@@ -105,12 +81,8 @@ int main(int argc, char** argv) {
   }
 
   ExperimentConfig config;
-  if (!ParseScheduler(scheduler_name, &config.scheduler)) {
+  if (!SchedulerKindFromName(scheduler_name, &config.scheduler)) {
     std::fprintf(stderr, "unknown --scheduler '%s'\n", scheduler_name.c_str());
-    return 2;
-  }
-  if (!ParsePolicy(policy_name, &config.policy)) {
-    std::fprintf(stderr, "unknown --policy '%s'\n", policy_name.c_str());
     return 2;
   }
   config.num_workers = static_cast<size_t>(workers);
@@ -119,7 +91,8 @@ int main(int argc, char** argv) {
   config.jbsq_k = static_cast<uint32_t>(jbsq_k);
   config.priority_levels = static_cast<size_t>(priority_levels);
   config.locality_access_model = locality_access;
-  baselines::IntraNodePolicyFromName(racksched_intra, &config.racksched_intra_policy);
+  names::Parse(policy_name, &config.policy);  // choices pre-validated
+  names::Parse(racksched_intra, &config.racksched_intra_policy);
   config.max_tasks_per_packet = 1;
   config.warmup = FromMillis(warmup_ms);
   config.horizon = FromMillis(duration_ms);

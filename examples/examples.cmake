@@ -27,6 +27,12 @@ add_test(NAME example_cluster_sim_racksched_edf
                  --utilization=0.4 --duration-ms=10)
 set_tests_properties(example_cluster_sim_racksched_edf PROPERTIES
                      PASS_REGULAR_EXPRESSION "completed +[1-9][0-9]* of")
+# An unknown --policy is a flag error that lists the valid policies.
+add_test(NAME example_cluster_sim_rejects_unknown_policy
+         COMMAND example_cluster_sim --policy=round-robin)
+set_tests_properties(example_cluster_sim_rejects_unknown_policy PROPERTIES
+                     PASS_REGULAR_EXPRESSION
+                     "bad value for --policy: 'round-robin'; must be one of fcfs[|]priority[|]resource[|]locality")
 add_test(NAME example_list_schedulers COMMAND example_list_schedulers)
 # Replays the committed CSV trace (written by workload::SaveJobStream).
 add_test(NAME example_cluster_sim_trace

@@ -17,6 +17,7 @@
 #include "cluster/deployment.h"
 #include "cluster/experiment.h"
 #include "common/flags.h"
+#include "common/names.h"
 #include "core/rank_function.h"
 #include "dag/dag_flags.h"
 #include "dag/job_spec.h"
@@ -44,7 +45,7 @@ int main(int argc, char** argv) {
   // the benches use, so this listing can never drift from what they accept.
   if (argc > 1 && std::strcmp(argv[1], "--workloads") == 0) {
     std::printf("arrival processes (--workload):\n");
-    for (const std::string& name : workload::ArrivalKindNames()) {
+    for (const std::string& name : names::Names<workload::ArrivalKind>()) {
       std::printf("  %s\n", name.c_str());
     }
     std::printf("service-time templates (--service-time):\n");
@@ -52,14 +53,14 @@ int main(int argc, char** argv) {
       std::printf("  %s\n", name.c_str());
     }
     std::printf("dag shapes (--dag-shape):\n");
-    for (const std::string& name : dag::DagShapeNames()) {
+    for (const std::string& name : names::Names<dag::DagShape>()) {
       std::printf("  %s\n", name.c_str());
     }
     flags::Parser dag_parser("DAG workload and hedging flags (docs/dag.md)");
     dag::DagFlags dag_flags;
     dag_flags.Register(&dag_parser);
     std::fputs(dag_parser.Usage().c_str(), stdout);
-    return workload::ArrivalKindNames().empty() || dag::DagShapeNames().empty() ? 1 : 0;
+    return 0;
   }
 
   // --switch-policies <kind>: the kind's supported switch queueing
@@ -72,7 +73,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (core::SwitchPolicy policy : info->switch_policies) {
-      std::printf("%s\n", core::SwitchPolicyName(policy));
+      std::printf("%s\n", names::Name(policy));
     }
     return 0;
   }
@@ -86,14 +87,14 @@ int main(int argc, char** argv) {
       if (!policies.empty()) {
         policies += ", ";
       }
-      policies += cluster::PolicyKindName(policy);
+      policies += names::Name(policy);
     }
     std::string switch_policies;
     for (core::SwitchPolicy policy : info.switch_policies) {
       if (!switch_policies.empty()) {
         switch_policies += ", ";
       }
-      switch_policies += core::SwitchPolicyName(policy);
+      switch_policies += names::Name(policy);
     }
     std::printf("%-24s %-16s %-10s %-36s %s\n", info.canonical_name, info.flag_name,
                 info.multi_scheduler ? "yes" : "no", policies.c_str(),

@@ -4,7 +4,7 @@
 #ifndef DRACONIS_BASELINES_INTRA_NODE_POLICY_H_
 #define DRACONIS_BASELINES_INTRA_NODE_POLICY_H_
 
-#include <string>
+#include "common/names.h"
 
 namespace draconis::baselines {
 
@@ -14,28 +14,13 @@ enum class IntraNodePolicy {
   kEdf,               // earliest-deadline-first over the TPROPS deadline tags
 };
 
-// Round-trippable policy name ("fcfs", "ps", "edf").
-inline const char* IntraNodePolicyName(IntraNodePolicy policy) {
-  switch (policy) {
-    case IntraNodePolicy::kFcfs:
-      return "fcfs";
-    case IntraNodePolicy::kProcessorSharing:
-      return "ps";
-    case IntraNodePolicy::kEdf:
-      return "edf";
-  }
-  return "?";
-}
-
-inline bool IntraNodePolicyFromName(const std::string& name, IntraNodePolicy* out) {
-  for (IntraNodePolicy policy : {IntraNodePolicy::kFcfs, IntraNodePolicy::kProcessorSharing,
-                                 IntraNodePolicy::kEdf}) {
-    if (name == IntraNodePolicyName(policy)) {
-      *out = policy;
-      return true;
-    }
-  }
-  return false;
+inline names::Table<IntraNodePolicy> NameTable(IntraNodePolicy) {
+  static constexpr names::Spelling<IntraNodePolicy> kNames[] = {
+      {IntraNodePolicy::kFcfs, "fcfs"},
+      {IntraNodePolicy::kProcessorSharing, "ps"},
+      {IntraNodePolicy::kEdf, "edf"},
+  };
+  return kNames;
 }
 
 }  // namespace draconis::baselines

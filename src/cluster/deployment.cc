@@ -1,25 +1,13 @@
 #include "cluster/deployment.h"
 
-#include <cctype>
 #include <utility>
 
 #include "baselines/deployments.h"
 #include "common/check.h"
+#include "common/names.h"
 #include "core/draconis_deployment.h"
 
 namespace draconis::cluster {
-
-namespace {
-
-std::string AsciiLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // PullBasedDeployment
@@ -149,9 +137,9 @@ const DeploymentInfo& DeploymentRegistry::Info(SchedulerKind kind) const {
 }
 
 const DeploymentInfo* DeploymentRegistry::FindByName(const std::string& name) const {
-  const std::string lower = AsciiLower(name);
+  const std::string lower = names::AsciiLower(name);
   for (const DeploymentInfo& info : infos_) {
-    if (lower == AsciiLower(info.canonical_name) || lower == info.flag_name) {
+    if (lower == names::AsciiLower(info.canonical_name) || lower == info.flag_name) {
       return &info;
     }
   }

@@ -1,7 +1,6 @@
 #include "cluster/experiment.h"
 
 #include <algorithm>
-#include <cctype>
 #include <string>
 #include <utility>
 
@@ -16,14 +15,6 @@
 namespace draconis::cluster {
 
 namespace {
-
-std::string AsciiLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
 
 TimeNs EffectiveHorizon(const ExperimentConfig& config, TimeNs last_arrival) {
   return config.horizon > 0 ? config.horizon : last_arrival + FromMillis(50);
@@ -40,38 +31,12 @@ std::string CheckWarmup(const ExperimentConfig& config, TimeNs last_arrival) {
 
 }  // namespace
 
-const char* PolicyKindName(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kFcfs:
-      return "fcfs";
-    case PolicyKind::kPriority:
-      return "priority";
-    case PolicyKind::kResource:
-      return "resource";
-    case PolicyKind::kLocality:
-      return "locality";
-  }
-  return "unknown";
-}
-
 std::vector<topology::RackSpec> EffectiveRackSpecs(const ExperimentConfig& config) {
   if (config.cluster.enabled()) {
     return config.cluster.racks;
   }
   // Legacy single-switch layout: one rack shaped by the flat knobs.
   return {topology::RackSpec{config.num_workers, config.executors_per_worker}};
-}
-
-bool PolicyKindFromName(const std::string& name, PolicyKind* out) {
-  DRACONIS_CHECK(out != nullptr);
-  for (PolicyKind kind : {PolicyKind::kFcfs, PolicyKind::kPriority, PolicyKind::kResource,
-                          PolicyKind::kLocality}) {
-    if (AsciiLower(name) == PolicyKindName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
 }
 
 std::string ExperimentConfig::Validate() const {
@@ -99,13 +64,13 @@ std::string ExperimentConfig::Validate() const {
     policy_supported = policy_supported || p == policy;
   }
   if (!policy_supported) {
-    return std::string(info.canonical_name) + " ignores policy '" +
-           PolicyKindName(policy) + "'; it only supports its own scheduling discipline";
+    return std::string(info.canonical_name) + " ignores policy '" + names::Name(policy) +
+           "'; it only supports its own scheduling discipline";
   }
   if (racksched_intra_policy != baselines::IntraNodePolicy::kFcfs &&
       !info.intra_node_dispatcher) {
     return std::string(info.canonical_name) + " has no intra-node dispatcher; "
-           "racksched_intra_policy '" + baselines::IntraNodePolicyName(racksched_intra_policy) +
+           "racksched_intra_policy '" + names::Name(racksched_intra_policy) +
            "' needs RackSched's two-layer workers (racksched, malcolm)";
   }
   if (policy == PolicyKind::kResource && worker_resources.size() < num_workers) {
@@ -121,11 +86,11 @@ std::string ExperimentConfig::Validate() const {
     }
     if (!switch_policy_supported) {
       return std::string(info.canonical_name) + " runs the fixed FIFO switch queue; "
-             "switch policy '" + core::SwitchPolicyName(switch_policy) +
+             "switch policy '" + names::Name(switch_policy) +
              "' needs a PIFO-capable scheduler kind (draconis)";
     }
     if (policy != PolicyKind::kFcfs) {
-      return std::string("switch policy '") + core::SwitchPolicyName(switch_policy) +
+      return std::string("switch policy '") + names::Name(switch_policy) +
              "' replaces the retrieval discipline; combine it with the fcfs policy "
              "(priority/resource/locality need the per-level queues and swap walks)";
     }
@@ -160,7 +125,7 @@ std::string ExperimentConfig::Validate() const {
              "num_schedulers must be 1";
     }
     if (policy != PolicyKind::kFcfs) {
-      return std::string("policy '") + PolicyKindName(policy) +
+      return std::string("policy '") + names::Name(policy) +
              "' keeps per-switch state the cross-rack placement layer does not shard; "
              "combine a ClusterTopology with the fcfs policy";
     }

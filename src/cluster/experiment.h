@@ -30,6 +30,7 @@
 #include "cluster/executor.h"
 #include "cluster/metrics.h"
 #include "cluster/scheduler_counters.h"
+#include "common/names.h"
 #include "core/policy.h"
 #include "core/rank_function.h"
 #include "fault/plan.h"
@@ -64,9 +65,15 @@ bool SchedulerKindFromName(const std::string& name, SchedulerKind* out);
 
 enum class PolicyKind { kFcfs, kPriority, kResource, kLocality };
 
-// Round-trippable policy name ("fcfs", "priority", "resource", "locality").
-const char* PolicyKindName(PolicyKind kind);
-bool PolicyKindFromName(const std::string& name, PolicyKind* out);
+inline names::Table<PolicyKind> NameTable(PolicyKind) {
+  static constexpr names::Spelling<PolicyKind> kNames[] = {
+      {PolicyKind::kFcfs, "fcfs"},
+      {PolicyKind::kPriority, "priority"},
+      {PolicyKind::kResource, "resource"},
+      {PolicyKind::kLocality, "locality"},
+  };
+  return kNames;
+}
 
 struct ExperimentConfig {
   SchedulerKind scheduler = SchedulerKind::kDraconis;

@@ -38,12 +38,20 @@ void Parser::AddDuration(const std::string& name, TimeNs* out, const std::string
 void Parser::AddChoice(const std::string& name, std::string* out,
                        std::vector<std::string> choices, const std::string& help) {
   DRACONIS_CHECK(out != nullptr && Find(name) == nullptr && !choices.empty());
-  bool default_listed = false;
+  bool default_listed = out->empty();
   for (const std::string& choice : choices) {
     default_listed = default_listed || choice == *out;
   }
-  DRACONIS_CHECK_MSG(default_listed, "the default must be one of the choices");
+  DRACONIS_CHECK_MSG(default_listed, "the default must be empty or one of the choices");
   registered_.push_back(Flag{name, Kind::kChoice, out, help, *out, std::move(choices)});
+}
+
+std::string Parser::JoinChoices(const Flag& flag) {
+  std::string out;
+  for (const std::string& choice : flag.choices) {
+    out += (out.empty() ? "" : "|") + choice;
+  }
+  return out;
 }
 
 const Parser::Flag* Parser::Find(const std::string& name) const {
@@ -92,7 +100,7 @@ bool Parser::Assign(const Flag& flag, const std::string& value) {
       return ParseDuration(value, static_cast<TimeNs*>(flag.target));
     case Kind::kChoice:
       for (const std::string& choice : flag.choices) {
-        if (value == choice) {
+        if (value == choice || (value.empty() && flag.default_text.empty())) {
           *static_cast<std::string*>(flag.target) = value;
           return true;
         }
@@ -142,6 +150,9 @@ bool Parser::Parse(int argc, const char* const* argv, std::string* error) {
     }
     if (!Assign(*flag, value)) {
       *error = "bad value for --" + name + ": '" + value + "'";
+      if (flag->kind == Kind::kChoice) {
+        *error += "; must be one of " + JoinChoices(*flag);
+      }
       return false;
     }
   }
@@ -154,11 +165,7 @@ std::string Parser::Usage() const {
   for (const Flag& flag : registered_) {
     os << "  --" << flag.name << "  (default: " << flag.default_text << ")";
     if (flag.kind == Kind::kChoice) {
-      os << "  [";
-      for (size_t i = 0; i < flag.choices.size(); ++i) {
-        os << (i > 0 ? "|" : "") << flag.choices[i];
-      }
-      os << "]";
+      os << "  [" << JoinChoices(flag) << "]";
     }
     os << "\n      " << flag.help << "\n";
   }

@@ -28,7 +28,8 @@ class Parser {
   void AddDuration(const std::string& name, TimeNs* out, const std::string& help);
 
   // A string restricted to a fixed choice set; parsing rejects anything else
-  // and Usage() lists the alternatives. `*out` must be one of `choices`.
+  // and Usage() lists the alternatives. `*out` must be one of `choices`, or
+  // empty for "not set" (an empty value then stays accepted).
   void AddChoice(const std::string& name, std::string* out,
                  std::vector<std::string> choices, const std::string& help);
 
@@ -53,6 +54,7 @@ class Parser {
 
   const Flag* Find(const std::string& name) const;
   static bool Assign(const Flag& flag, const std::string& value);
+  static std::string JoinChoices(const Flag& flag);  // "a|b|c"
 
   std::string description_;
   std::vector<Flag> registered_;

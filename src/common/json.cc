@@ -1,5 +1,6 @@
 #include "common/json.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -208,13 +209,77 @@ bool ReadInt(const Value& v, const std::string& what, int64_t lo, int64_t hi, in
       return true;
     }
   }
+  std::string message = what + " must be an integer";
+  if (lo != std::numeric_limits<int64_t>::min() || hi != std::numeric_limits<int64_t>::max()) {
+    message += " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  }
+  return Fail(error, std::move(message));
+}
+
+bool Fail(std::string* error, std::string message) {
   if (error != nullptr) {
-    *error = what + " must be an integer";
-    if (lo != std::numeric_limits<int64_t>::min() || hi != std::numeric_limits<int64_t>::max()) {
-      *error += " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    }
+    *error = std::move(message);
   }
   return false;
+}
+
+// ---------------------------------------------------------------------------
+// ObjectReader
+// ---------------------------------------------------------------------------
+
+ObjectReader::ObjectReader(const Value& object, std::string what, std::string* error,
+                           std::string separator)
+    : object_(object),
+      what_(std::move(what)),
+      separator_(std::move(separator)),
+      error_(error) {
+  if (!object_.is_object()) {
+    Fail(what_ + " must be a JSON object");
+  }
+}
+
+const Value* ObjectReader::Find(const std::string& key) {
+  if (!ok_) {
+    return nullptr;
+  }
+  read_.push_back(key);
+  return object_.Find(key);
+}
+
+bool ObjectReader::Require(const std::string& key) {
+  return ok_ && (object_.Find(key) != nullptr || Fail(Member(key) + " is missing"));
+}
+
+bool ObjectReader::Number(const std::string& key, double* out) {
+  const Value* v = Find(key);
+  if (!ok_ || v == nullptr) {
+    return ok_;
+  }
+  if (!v->is_number()) {
+    return Fail(Member(key) + " must be a number");
+  }
+  *out = v->AsDouble();
+  return true;
+}
+
+bool ObjectReader::Fail(std::string message) {
+  if (ok_ && !message.empty()) {
+    json::Fail(error_, std::move(message));
+  }
+  ok_ = false;
+  return false;
+}
+
+bool ObjectReader::Finish() {
+  if (!ok_) {
+    return false;
+  }
+  for (const std::string& key : object_.Keys()) {
+    if (std::find(read_.begin(), read_.end(), key) == read_.end()) {
+      return Fail(what_ + " has unknown key \"" + key + "\"");
+    }
+  }
+  return true;
 }
 
 const std::string& Value::AsString() const {

@@ -1,5 +1,6 @@
-// Minimal JSON support: a streaming writer for bench/report output and a
-// small recursive-descent reader for declarative inputs (fault plans).
+// Minimal JSON support: a streaming writer for bench/report output, a small
+// recursive-descent reader for declarative inputs (fault plans, workload and
+// DAG specs), and the strict member reader those inputs' parsers share.
 //
 // The Writer builds a pretty-printed (2-space indent) UTF-8 document in
 // memory with deterministic number formatting, so emitted files are stable
@@ -16,6 +17,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "common/names.h"
 
 namespace draconis::json {
 
@@ -122,6 +125,66 @@ bool ReadInt(const Value& v, const std::string& what, int64_t lo, int64_t hi, T*
   *out = static_cast<T>(value);
   return true;
 }
+
+// Stores `message` in *error (when non-null) and returns false: the one-line
+// failure every declarative-input parser returns through.
+bool Fail(std::string* error, std::string message);
+
+// Reads the members of one JSON object for a declarative-input parser, and
+// is strict about it: a member of the wrong type or out of range is an
+// error that names the member, never a silent default, and Finish() rejects
+// any member no read asked for. The first failure wins; every later read is
+// a no-op returning false, so a parser may issue its reads and check once.
+class ObjectReader {
+ public:
+  // `what` names the object in errors; a member is named what + separator +
+  // key ("workload: seed", "event 0.start").
+  ObjectReader(const Value& object, std::string what, std::string* error,
+               std::string separator = ": ");
+
+  std::string Member(const std::string& key) const { return what_ + separator_ + key; }
+  // Renames the object for later errors (once a kind member says what it is).
+  void set_what(std::string what) { what_ = std::move(what); }
+
+  // The member, marked read; nullptr when absent or after a failure.
+  const Value* Find(const std::string& key);
+  // Fails with "<member> is missing" when the member is absent.
+  bool Require(const std::string& key);
+  // Optional members: an absent one keeps *out.
+  bool Number(const std::string& key, double* out);
+  template <typename T>
+  bool Int(const std::string& key, int64_t lo, int64_t hi, T* out) {
+    const Value* v = Find(key);
+    return ok_ && (v == nullptr || ReadInt(*v, Member(key), lo, hi, out, error_) || Fail(""));
+  }
+  // A required enum-valued member, read through the enum's name table.
+  template <typename E>
+  bool Enum(const std::string& key, E* out) {
+    const Value* v = Find(key);
+    if (!ok_) {
+      return false;
+    }
+    if (v != nullptr && v->is_string() && names::Parse(v->AsString(), out)) {
+      return true;
+    }
+    return Fail(Member(key) + " must be one of " + names::Choices<E>());
+  }
+
+  // Records `message` unless an earlier failure did (an empty message keeps
+  // the error a helper already wrote) and returns false.
+  bool Fail(std::string message);
+  // True when every read succeeded and every member was read; otherwise
+  // fails with "<what> has unknown key \"k\"" for the first unread member.
+  bool Finish();
+
+ private:
+  const Value& object_;
+  std::string what_;
+  std::string separator_;
+  std::string* error_;
+  std::vector<std::string> read_;
+  bool ok_ = true;
+};
 
 // Parses a complete JSON document. Returns false (and a "line N: ..." error
 // when `error` is non-null) on malformed input or trailing garbage.

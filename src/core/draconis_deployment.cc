@@ -208,9 +208,8 @@ cluster::DeploymentInfo DraconisDeploymentInfo() {
   info.kind = cluster::SchedulerKind::kDraconis;
   info.canonical_name = "Draconis";
   info.flag_name = "draconis";
-  info.policies = {cluster::PolicyKind::kFcfs, cluster::PolicyKind::kPriority,
-                   cluster::PolicyKind::kResource, cluster::PolicyKind::kLocality};
-  info.switch_policies = AllSwitchPolicies();
+  info.policies = names::Values<cluster::PolicyKind>();
+  info.switch_policies = names::Values<SwitchPolicy>();
   info.failover = true;
   info.multi_rack = true;
   info.make = [](const cluster::ExperimentConfig& config) {

@@ -1,7 +1,6 @@
 #include "core/rank_function.h"
 
 #include <algorithm>
-#include <cctype>
 #include <utility>
 
 #include "common/check.h"
@@ -14,49 +13,7 @@ namespace {
 // forward, or a no-op flood would never be charged; bill it as 1 µs.
 constexpr TimeNs kWfqMinCost = FromMicros(1);
 
-std::string AsciiLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) {
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
 }  // namespace
-
-const std::vector<SwitchPolicy>& AllSwitchPolicies() {
-  static const std::vector<SwitchPolicy> kAll = {
-      SwitchPolicy::kFifo, SwitchPolicy::kStrictPriority, SwitchPolicy::kSrpt,
-      SwitchPolicy::kEdf, SwitchPolicy::kWfq};
-  return kAll;
-}
-
-const char* SwitchPolicyName(SwitchPolicy policy) {
-  switch (policy) {
-    case SwitchPolicy::kFifo:
-      return "fifo";
-    case SwitchPolicy::kStrictPriority:
-      return "sp";
-    case SwitchPolicy::kSrpt:
-      return "srpt";
-    case SwitchPolicy::kEdf:
-      return "edf";
-    case SwitchPolicy::kWfq:
-      return "wfq";
-  }
-  return "unknown";
-}
-
-bool SwitchPolicyFromName(const std::string& name, SwitchPolicy* out) {
-  DRACONIS_CHECK(out != nullptr);
-  for (SwitchPolicy policy : AllSwitchPolicies()) {
-    if (AsciiLower(name) == SwitchPolicyName(policy)) {
-      *out = policy;
-      return true;
-    }
-  }
-  return false;
-}
 
 uint64_t StrictPriorityRank::Rank(p4::PacketPass& pass, const net::TaskInfo& task,
                                   TimeNs now) {

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "common/names.h"
 #include "common/time.h"
 #include "net/packet.h"
 #include "p4/register.h"
@@ -44,13 +45,16 @@ enum class SwitchPolicy : uint8_t {
   kWfq,             // rank = per-tenant virtual start time (TPROPS = tenant)
 };
 
-// Enumeration order == flag/wire order (mirrors the DeploymentRegistry
-// convention for scheduler kinds).
-const std::vector<SwitchPolicy>& AllSwitchPolicies();
-
-// Round-trippable flag spelling ("fifo", "sp", "srpt", "edf", "wfq").
-const char* SwitchPolicyName(SwitchPolicy policy);
-bool SwitchPolicyFromName(const std::string& name, SwitchPolicy* out);
+// Table order == flag/wire order (mirrors the DeploymentRegistry convention
+// for scheduler kinds).
+inline names::Table<SwitchPolicy> NameTable(SwitchPolicy) {
+  static constexpr names::Spelling<SwitchPolicy> kNames[] = {
+      {SwitchPolicy::kFifo, "fifo"}, {SwitchPolicy::kStrictPriority, "sp"},
+      {SwitchPolicy::kSrpt, "srpt"}, {SwitchPolicy::kEdf, "edf"},
+      {SwitchPolicy::kWfq, "wfq"},
+  };
+  return kNames;
+}
 
 class RankFunction {
  public:

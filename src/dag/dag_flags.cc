@@ -3,7 +3,7 @@
 namespace draconis::dag {
 
 void DagFlags::Register(flags::Parser* parser) {
-  parser->AddChoice("dag-shape", &shape, DagShapeNames(),
+  parser->AddChoice("dag-shape", &shape, names::Names<DagShape>(),
                     "generated DAG shape (docs/dag.md)");
   parser->AddInt64("dag-depth", &depth, "levels per job (chain length for chain)");
   parser->AddInt64("dag-width", &width, "tasks per middle level (fanout, random)");
@@ -27,7 +27,7 @@ void DagFlags::Register(flags::Parser* parser) {
 }
 
 bool DagFlags::Apply(DagWorkloadSpec* spec, HedgePolicy* policy, std::string* error) const {
-  if (!DagShapeFromName(shape, &spec->shape)) {
+  if (!names::Parse(shape, &spec->shape)) {
     *error = "unknown --dag-shape: " + shape;
     return false;
   }

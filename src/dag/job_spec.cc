@@ -94,92 +94,48 @@ std::string JobSpec::ToJson() const {
 }
 
 bool JobSpec::FromJson(const json::Value& v, JobSpec* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
-  if (!v.is_object()) {
-    return fail("dag job: expected an object");
-  }
-  const json::Value* tasks = v.Find("tasks");
+  json::ObjectReader r(v, "dag job", error);
+  const json::Value* tasks = r.Find("tasks");
   if (tasks == nullptr || !tasks->is_array()) {
-    return fail("dag job: missing 'tasks' array");
+    return r.Fail(r.Member("tasks") + " must be an array of task objects");
   }
   JobSpec parsed;
   for (const json::Value& t : tasks->AsArray()) {
-    if (!t.is_object()) {
-      return fail("dag job: 'tasks' entries must be objects");
-    }
-    const std::string where = "dag job: task " + std::to_string(parsed.tasks.size());
+    // An absent member keeps its default; a present one must be in range.
+    json::ObjectReader task(t, "dag job: task " + std::to_string(parsed.tasks.size()), error);
     TaskNode node;
-    const json::Value* duration = t.Find("duration_ns");
-    if (duration == nullptr) {
-      return fail(where + " is missing 'duration_ns'");
-    }
-    if (!json::ReadInt(*duration, where + ": duration_ns", kMinTime, kMaxTime, &node.duration,
-                       error)) {
-      return false;
-    }
-    if (const json::Value* deps = t.Find("deps"); deps != nullptr) {
+    task.Require("duration_ns");
+    task.Int("duration_ns", kMinTime, kMaxTime, &node.duration);
+    if (const json::Value* deps = task.Find("deps"); deps != nullptr) {
       if (!deps->is_array()) {
-        return fail("dag job: 'deps' must be an array");
+        return task.Fail(task.Member("deps") + " must be an array");
       }
       for (const json::Value& dep : deps->AsArray()) {
         uint32_t index = 0;
-        if (!json::ReadInt(dep, where + ": deps entry", 0, kMaxU32, &index, error)) {
+        if (!json::ReadInt(dep, task.Member("deps entry"), 0, kMaxU32, &index, error)) {
           return false;
         }
         node.deps.push_back(index);
       }
     }
-    // An absent member keeps its default; a present one must be in range.
-    const auto integer = [&t, &where, error](const char* key, int64_t hi, auto* field) {
-      const json::Value* member = t.Find(key);
-      return member == nullptr || json::ReadInt(*member, where + ": " + key, 0, hi, field, error);
-    };
-    if (!integer("stage", kMaxU32, &node.stage) || !integer("tprops", kMaxU32, &node.tprops) ||
-        !integer("fn_id", kMaxU32, &node.fn_id) || !integer("fn_par", kMaxU63, &node.fn_par)) {
+    task.Int("stage", 0, kMaxU32, &node.stage);
+    task.Int("tprops", 0, kMaxU32, &node.tprops);
+    task.Int("fn_id", 0, kMaxU32, &node.fn_id);
+    task.Int("fn_par", 0, kMaxU63, &node.fn_par);
+    if (!task.Finish()) {
       return false;
     }
     parsed.tasks.push_back(std::move(node));
   }
+  if (!r.Finish()) {
+    return false;
+  }
   const std::string invalid = parsed.Validate();
   if (!invalid.empty()) {
-    return fail(invalid);
+    return json::Fail(error, invalid);
   }
   *out = std::move(parsed);
   return true;
-}
-
-const char* DagShapeName(DagShape shape) {
-  switch (shape) {
-    case DagShape::kChain:
-      return "chain";
-    case DagShape::kFanOutFanIn:
-      return "fanout";
-    case DagShape::kRandom:
-      return "random";
-  }
-  return "unknown";
-}
-
-bool DagShapeFromName(const std::string& name, DagShape* out) {
-  for (DagShape shape : {DagShape::kChain, DagShape::kFanOutFanIn, DagShape::kRandom}) {
-    if (name == DagShapeName(shape)) {
-      *out = shape;
-      return true;
-    }
-  }
-  return false;
-}
-
-const std::vector<std::string>& DagShapeNames() {
-  static const std::vector<std::string> names = {
-      DagShapeName(DagShape::kChain), DagShapeName(DagShape::kFanOutFanIn),
-      DagShapeName(DagShape::kRandom)};
-  return names;
 }
 
 const workload::ServiceTime& DagWorkloadSpec::StageService(uint32_t stage) const {
@@ -321,7 +277,7 @@ std::string DagWorkloadSpec::Validate() const {
 }
 
 std::string DagWorkloadSpec::label() const {
-  std::string out = DagShapeName(shape);
+  std::string out = names::Name(shape);
   out += " depth=" + std::to_string(depth);
   if (shape != DagShape::kChain) {
     out += " width=" + std::to_string(width);
@@ -332,7 +288,7 @@ std::string DagWorkloadSpec::label() const {
 
 void DagWorkloadSpec::WriteJson(json::Writer& w) const {
   w.BeginObject();
-  w.Key("shape").String(DagShapeName(shape));
+  w.Key("shape").String(names::Name(shape));
   w.Key("depth").UInt(depth);
   w.Key("width").UInt(width);
   w.Key("edge_prob").Double(edge_prob);
@@ -357,68 +313,40 @@ std::string DagWorkloadSpec::ToJson() const {
 }
 
 bool DagWorkloadSpec::FromJson(const json::Value& v, DagWorkloadSpec* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
-  if (!v.is_object()) {
-    return fail("dag workload: expected an object");
-  }
+  json::ObjectReader r(v, "dag workload", error);
   DagWorkloadSpec parsed;
-  const json::Value* shape = v.Find("shape");
-  if (shape == nullptr || !shape->is_string() ||
-      !DagShapeFromName(shape->AsString(), &parsed.shape)) {
-    return fail("dag workload: missing or unknown 'shape'");
-  }
-  const auto number = [&v](const char* key, double fallback) {
-    const json::Value* member = v.Find(key);
-    return member != nullptr && member->is_number() ? member->AsDouble() : fallback;
-  };
-  // An absent member keeps its default; a present one must be in range.
-  const auto integer = [&v, error](const char* key, int64_t lo, int64_t hi, auto* field) {
-    const json::Value* member = v.Find(key);
-    return member == nullptr ||
-           json::ReadInt(*member, std::string("dag workload: ") + key, lo, hi, field, error);
-  };
-  if (!integer("depth", 0, kMaxU32, &parsed.depth) ||
-      !integer("width", 0, kMaxU32, &parsed.width) ||
-      !integer("duration_ns", kMinTime, kMaxTime, &parsed.duration) ||
-      !integer("seed", 0, kMaxU63, &parsed.seed)) {
+  // An absent member keeps its default; a present one must be well-typed.
+  r.Enum("shape", &parsed.shape);
+  r.Int("depth", 0, kMaxU32, &parsed.depth);
+  r.Int("width", 0, kMaxU32, &parsed.width);
+  r.Number("edge_prob", &parsed.edge_prob);
+  r.Number("jobs_per_second", &parsed.jobs_per_second);
+  r.Int("duration_ns", kMinTime, kMaxTime, &parsed.duration);
+  r.Int("seed", 0, kMaxU63, &parsed.seed);
+  if (const json::Value* service = r.Find("service");
+      service != nullptr &&
+      !workload::ServiceTime::FromJson(*service, r.Member("service"), &parsed.service, error)) {
     return false;
   }
-  parsed.edge_prob = number("edge_prob", parsed.edge_prob);
-  parsed.jobs_per_second = number("jobs_per_second", parsed.jobs_per_second);
-  if (const json::Value* service = v.Find("service"); service != nullptr) {
-    if (!service->is_string()) {
-      return fail("dag workload: 'service' must be a service-time name");
-    }
-    std::string service_error;
-    if (!workload::ServiceTime::FromName(service->AsString(), &parsed.service,
-                                         &service_error)) {
-      return fail("dag workload: " + service_error);
-    }
-  }
-  if (const json::Value* stages = v.Find("stage_services"); stages != nullptr) {
+  if (const json::Value* stages = r.Find("stage_services"); stages != nullptr) {
     if (!stages->is_array()) {
-      return fail("dag workload: 'stage_services' must be an array of service-time names");
+      return r.Fail(r.Member("stage_services") + " must be an array of service-time names");
     }
     for (const json::Value& s : stages->AsArray()) {
-      if (!s.is_string()) {
-        return fail("dag workload: 'stage_services' entries must be strings");
-      }
       workload::ServiceTime model = parsed.service;
-      std::string service_error;
-      if (!workload::ServiceTime::FromName(s.AsString(), &model, &service_error)) {
-        return fail("dag workload: " + service_error);
+      if (!workload::ServiceTime::FromJson(s, r.Member("stage_services") + " entry", &model,
+                                           error)) {
+        return false;
       }
       parsed.stage_services.push_back(std::move(model));
     }
   }
+  if (!r.Finish()) {
+    return false;
+  }
   const std::string invalid = parsed.Validate();
   if (!invalid.empty()) {
-    return fail(invalid);
+    return json::Fail(error, invalid);
   }
   *out = std::move(parsed);
   return true;

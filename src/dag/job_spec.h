@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/names.h"
 #include "common/time.h"
 #include "workload/service_time.h"
 
@@ -67,11 +68,14 @@ enum class DagShape {
                  // window with probability edge_prob (>= 1 edge guaranteed)
 };
 
-// Round-trippable shape name ("chain", "fanout", "random").
-const char* DagShapeName(DagShape shape);
-bool DagShapeFromName(const std::string& name, DagShape* out);
-// All registerable names, for flags and list_schedulers --workloads.
-const std::vector<std::string>& DagShapeNames();
+inline names::Table<DagShape> NameTable(DagShape) {
+  static constexpr names::Spelling<DagShape> kNames[] = {
+      {DagShape::kChain, "chain"},
+      {DagShape::kFanOutFanIn, "fanout"},
+      {DagShape::kRandom, "random"},
+  };
+  return kNames;
+}
 
 struct DagJobArrival {
   TimeNs at = 0;

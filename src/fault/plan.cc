@@ -12,45 +12,6 @@ namespace draconis::fault {
 
 namespace {
 
-const char* RoleName(NodeRef::Role role) {
-  switch (role) {
-    case NodeRef::Role::kScheduler:
-      return "scheduler";
-    case NodeRef::Role::kStandby:
-      return "standby";
-    case NodeRef::Role::kExecutor:
-      return "executor";
-    case NodeRef::Role::kClient:
-      return "client";
-    case NodeRef::Role::kNode:
-      return "node";
-  }
-  return "unknown";
-}
-
-bool RoleFromName(const std::string& name, NodeRef::Role* out) {
-  for (NodeRef::Role role : {NodeRef::Role::kScheduler, NodeRef::Role::kStandby,
-                             NodeRef::Role::kExecutor, NodeRef::Role::kClient,
-                             NodeRef::Role::kNode}) {
-    if (name == RoleName(role)) {
-      *out = role;
-      return true;
-    }
-  }
-  return false;
-}
-
-bool KindFromName(const std::string& name, EventKind* out) {
-  for (EventKind kind : {EventKind::kLossyLink, EventKind::kNodeCrash,
-                         EventKind::kLatencyDegrade, EventKind::kSchedulerFailover}) {
-    if (name == EventKindName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 // A duration member: integer nanoseconds or a unit string ("250us").
 bool ReadDuration(const json::Value& v, TimeNs* out, std::string* error,
                   const std::string& what) {
@@ -68,41 +29,28 @@ bool ReadDuration(const json::Value& v, TimeNs* out, std::string* error,
 bool ReadNodeRef(const json::Value* v, NodeRef* out, std::string* error,
                  const std::string& what) {
   if (v == nullptr || !v->is_object()) {
-    *error = what + " must be an object {\"role\": ..., \"index\": ...}";
+    return json::Fail(error, what + " must be an object {\"role\": ..., \"index\": ...}");
+  }
+  json::ObjectReader r(*v, what, error, ".");
+  if (!r.Enum("role", &out->role)) {
     return false;
   }
-  for (const std::string& key : v->Keys()) {
-    if (key != "role" && key != "index") {
-      *error = what + " has unknown key \"" + key + "\"";
-      return false;
-    }
-  }
-  const json::Value* role = v->Find("role");
-  if (role == nullptr || !role->is_string() || !RoleFromName(role->AsString(), &out->role)) {
-    *error = what + ".role must be one of scheduler|standby|executor|client|node";
+  if (!r.Int("index", -1, std::numeric_limits<int32_t>::max(), &out->index)) {
+    *error += " (-1 = all instances)";
     return false;
   }
-  if (const json::Value* index = v->Find("index"); index != nullptr) {
-    if (!json::ReadInt(*index, what + ".index", -1, std::numeric_limits<int32_t>::max(),
-                       &out->index, error)) {
-      *error += " (-1 = all instances)";
-      return false;
-    }
-  } else {
-    out->index = 0;
-  }
-  return true;
+  return r.Finish();
 }
 
 void WriteNodeRef(json::Writer& w, const NodeRef& ref) {
   w.BeginObject();
-  w.Key("role").String(RoleName(ref.role));
+  w.Key("role").String(names::Name(ref.role));
   w.Key("index").Int(ref.index);
   w.EndObject();
 }
 
 std::string ValidateEvent(const FaultEvent& e, size_t i) {
-  const std::string where = "event " + std::to_string(i) + " (" + EventKindName(e.kind) + ")";
+  const std::string where = "event " + std::to_string(i) + " (" + names::Name(e.kind) + ")";
   if (e.start < 0) {
     return where + ": start must be >= 0";
   }
@@ -129,20 +77,6 @@ std::string ValidateEvent(const FaultEvent& e, size_t i) {
 }
 
 }  // namespace
-
-const char* EventKindName(EventKind kind) {
-  switch (kind) {
-    case EventKind::kLossyLink:
-      return "lossy_link";
-    case EventKind::kNodeCrash:
-      return "node_crash";
-    case EventKind::kLatencyDegrade:
-      return "latency_degrade";
-    case EventKind::kSchedulerFailover:
-      return "scheduler_failover";
-  }
-  return "unknown";
-}
 
 FaultPlan& FaultPlan::LossyLink(TimeNs start, TimeNs end, double probability, NodeRef src,
                                 NodeRef dst) {
@@ -241,101 +175,73 @@ bool FaultPlan::FromJson(const std::string& text, FaultPlan* out, std::string* e
   if (!json::Parse(text, &doc, error)) {
     return false;
   }
-  if (!doc.is_object()) {
-    *error = "fault plan must be a JSON object";
+  json::ObjectReader top(doc, "fault plan", error);
+  const json::Value* version = top.Find("schema_version");
+  top.Find("name");  // a free-form label
+  const json::Value* events = top.Find("events");
+  if (!top.Finish()) {
     return false;
   }
-  for (const std::string& key : doc.Keys()) {
-    if (key != "schema_version" && key != "name" && key != "events") {
-      *error = "unknown top-level key \"" + key + "\"";
-      return false;
-    }
+  int64_t schema = 0;
+  if (version != nullptr && !json::ReadInt(*version, "schema_version", 1, 1, &schema, nullptr)) {
+    return json::Fail(error, "unsupported fault plan schema_version (expected 1)");
   }
-  if (const json::Value* version = doc.Find("schema_version"); version != nullptr) {
-    int64_t schema = 0;
-    if (!json::ReadInt(*version, "schema_version", 1, 1, &schema, nullptr)) {
-      *error = "unsupported fault plan schema_version (expected 1)";
-      return false;
-    }
-  }
-  const json::Value* events = doc.Find("events");
   if (events == nullptr || !events->is_array()) {
-    *error = "fault plan needs an \"events\" array";
-    return false;
+    return json::Fail(error, "fault plan needs an \"events\" array");
   }
 
   FaultPlan plan;
   for (size_t i = 0; i < events->AsArray().size(); ++i) {
-    const json::Value& ev = events->AsArray()[i];
     const std::string where = "event " + std::to_string(i);
-    if (!ev.is_object()) {
-      *error = where + " must be an object";
-      return false;
-    }
-    const json::Value* kind_v = ev.Find("kind");
-    EventKind kind;
-    if (kind_v == nullptr || !kind_v->is_string() || !KindFromName(kind_v->AsString(), &kind)) {
-      *error = where +
-               ".kind must be one of lossy_link|node_crash|latency_degrade|scheduler_failover";
-      return false;
-    }
+    json::ObjectReader r(events->AsArray()[i], where, error, ".");
     FaultEvent e;
-    e.kind = kind;
-    for (const std::string& key : ev.Keys()) {
-      const bool common = key == "kind" || key == "start" || key == "end";
-      const bool lossy = kind == EventKind::kLossyLink &&
-                         (key == "probability" || key == "src" || key == "dst");
-      const bool crash = kind == EventKind::kNodeCrash && key == "target";
-      const bool degrade = kind == EventKind::kLatencyDegrade && key == "extra_latency";
-      if (!common && !lossy && !crash && !degrade) {
-        *error = where + " (" + EventKindName(kind) + ") has unknown key \"" + key + "\"";
-        return false;
-      }
-    }
-    const json::Value* start = ev.Find("start");
-    if (start == nullptr || !ReadDuration(*start, &e.start, error, where + ".start")) {
-      if (start == nullptr) {
-        *error = where + " needs a start time";
-      }
+    if (!r.Enum("kind", &e.kind)) {
       return false;
     }
-    if (const json::Value* end = ev.Find("end"); end != nullptr && !end->is_null()) {
-      if (!ReadDuration(*end, &e.end, error, where + ".end")) {
-        return false;
-      }
+    const json::Value* start = r.Find("start");
+    if (start == nullptr) {
+      return json::Fail(error, where + " needs a start time");
     }
-    switch (kind) {
+    if (!ReadDuration(*start, &e.start, error, r.Member("start"))) {
+      return false;
+    }
+    if (const json::Value* end = r.Find("end");
+        end != nullptr && !end->is_null() && !ReadDuration(*end, &e.end, error, r.Member("end"))) {
+      return false;
+    }
+    switch (e.kind) {
       case EventKind::kLossyLink: {
-        const json::Value* p = ev.Find("probability");
+        const json::Value* p = r.Find("probability");
         if (p == nullptr || !p->is_number()) {
-          *error = where + " needs a numeric probability";
-          return false;
+          return json::Fail(error, where + " needs a numeric probability");
         }
         e.probability = p->AsDouble();
-        if (!ReadNodeRef(ev.Find("src"), &e.src, error, where + ".src") ||
-            !ReadNodeRef(ev.Find("dst"), &e.dst, error, where + ".dst")) {
+        if (!ReadNodeRef(r.Find("src"), &e.src, error, r.Member("src")) ||
+            !ReadNodeRef(r.Find("dst"), &e.dst, error, r.Member("dst"))) {
           return false;
         }
         break;
       }
       case EventKind::kNodeCrash:
-        if (!ReadNodeRef(ev.Find("target"), &e.target, error, where + ".target")) {
+        if (!ReadNodeRef(r.Find("target"), &e.target, error, r.Member("target"))) {
           return false;
         }
         break;
       case EventKind::kLatencyDegrade: {
-        const json::Value* extra = ev.Find("extra_latency");
-        if (extra == nullptr ||
-            !ReadDuration(*extra, &e.extra_latency, error, where + ".extra_latency")) {
-          if (extra == nullptr) {
-            *error = where + " needs an extra_latency";
-          }
+        const json::Value* extra = r.Find("extra_latency");
+        if (extra == nullptr) {
+          return json::Fail(error, where + " needs an extra_latency");
+        }
+        if (!ReadDuration(*extra, &e.extra_latency, error, r.Member("extra_latency"))) {
           return false;
         }
         break;
       }
       case EventKind::kSchedulerFailover:
         break;
+    }
+    if (!r.Finish()) {
+      return false;
     }
     plan.events_.push_back(e);
   }
@@ -377,7 +283,7 @@ std::string FaultPlan::ToJson() const {
   w.Key("events").BeginArray();
   for (const FaultEvent& e : events_) {
     w.BeginObject();
-    w.Key("kind").String(EventKindName(e.kind));
+    w.Key("kind").String(names::Name(e.kind));
     w.Key("start").Int(e.start);
     if (e.end != FaultEvent::kNever) {
       w.Key("end").Int(e.end);

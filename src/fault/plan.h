@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/names.h"
 #include "common/time.h"
 
 namespace draconis::fault {
@@ -41,6 +42,15 @@ struct NodeRef {
   int32_t index = 0;
 };
 
+inline names::Table<NodeRef::Role> NameTable(NodeRef::Role) {
+  static constexpr names::Spelling<NodeRef::Role> kNames[] = {
+      {NodeRef::Role::kScheduler, "scheduler"}, {NodeRef::Role::kStandby, "standby"},
+      {NodeRef::Role::kExecutor, "executor"},   {NodeRef::Role::kClient, "client"},
+      {NodeRef::Role::kNode, "node"},
+  };
+  return kNames;
+}
+
 enum class EventKind : uint8_t {
   kLossyLink,          // window: drop src->dst packets with `probability`
   kNodeCrash,          // window: target disconnected, reconnected at `end`
@@ -48,7 +58,15 @@ enum class EventKind : uint8_t {
   kSchedulerFailover,  // instant: active scheduler dies, standby promoted
 };
 
-const char* EventKindName(EventKind kind);
+inline names::Table<EventKind> NameTable(EventKind) {
+  static constexpr names::Spelling<EventKind> kNames[] = {
+      {EventKind::kLossyLink, "lossy_link"},
+      {EventKind::kNodeCrash, "node_crash"},
+      {EventKind::kLatencyDegrade, "latency_degrade"},
+      {EventKind::kSchedulerFailover, "scheduler_failover"},
+  };
+  return kNames;
+}
 
 // One timeline entry. `start` is when the fault sets in; `end` is when it
 // clears (kNever = it persists to the end of the run). Unused fields stay at

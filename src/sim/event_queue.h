@@ -30,9 +30,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
-#include <vector>
 
+#include "common/names.h"
 #include "common/time.h"
 
 namespace draconis::sim {
@@ -60,14 +59,15 @@ enum class QueueBackend {
 
 inline constexpr QueueBackend kDefaultQueueBackend = QueueBackend::kLadder;
 
-// Flag spelling ("ladder", "heap").
-const char* QueueBackendName(QueueBackend backend);
-
-// Parses a backend name into *out. Returns false on an unknown name.
-bool QueueBackendFromName(const std::string& name, QueueBackend* out);
-
-// All backends, default first (the order bench --sim-queue choices show in).
-std::vector<QueueBackend> AllQueueBackends();
+// Flag spellings, the default backend first (the order bench --sim-queue
+// choices show in).
+inline names::Table<QueueBackend> NameTable(QueueBackend) {
+  static constexpr names::Spelling<QueueBackend> kNames[] = {
+      {QueueBackend::kLadder, "ladder"},
+      {QueueBackend::kHeap, "heap"},
+  };
+  return kNames;
+}
 
 // Orders EventKeys for the simulator. Push and PopTop may interleave freely;
 // PeekTop may reorganize internal storage but never changes the pop order.

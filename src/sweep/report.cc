@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "baselines/intra_node_policy.h"
+#include "common/names.h"
 #include "sim/event_queue.h"
 #include "stats/histogram.h"
 
@@ -184,18 +185,17 @@ std::string RenderJson(const SweepSpec& spec, const std::vector<SweepPointResult
     if (point.index < spec.points.size()) {
       const cluster::ExperimentConfig& config = spec.points[point.index].config;
       w.Key("scheduler").String(cluster::SchedulerKindName(config.scheduler));
-      w.Key("policy").String(cluster::PolicyKindName(config.policy));
+      w.Key("policy").String(names::Name(config.policy));
       // Emitted only in PIFO mode, so pre-PIFO sweep output (and its golden
       // in tests/sweep_test.cc) stays byte-identical.
       if (config.switch_policy != core::SwitchPolicy::kFifo) {
-        w.Key("switch_policy").String(core::SwitchPolicyName(config.switch_policy));
+        w.Key("switch_policy").String(names::Name(config.switch_policy));
       }
       // Likewise only for a non-FCFS RackSched/Malcolm intra-node dispatcher.
       if (config.racksched_intra_policy != baselines::IntraNodePolicy::kFcfs) {
-        w.Key("racksched_intra_policy")
-            .String(baselines::IntraNodePolicyName(config.racksched_intra_policy));
+        w.Key("racksched_intra_policy").String(names::Name(config.racksched_intra_policy));
       }
-      w.Key("sim_queue").String(sim::QueueBackendName(config.sim_queue));
+      w.Key("sim_queue").String(names::Name(config.sim_queue));
       w.Key("seed").UInt(config.seed);
       // Emitted only when the point carries a WorkloadSpec (DAG points and
       // the golden in tests/sweep_test.cc carry none).

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "common/names.h"
 #include "common/time.h"
 
 namespace draconis::topology {
@@ -31,8 +32,13 @@ enum class PlacementKind {
   kPowerOfTwo,  // overflow to the less-loaded of two sampled siblings
 };
 
-const char* PlacementKindName(PlacementKind kind);
-bool PlacementKindFromName(const std::string& name, PlacementKind* out);
+inline names::Table<PlacementKind> NameTable(PlacementKind) {
+  static constexpr names::Spelling<PlacementKind> kNames[] = {
+      {PlacementKind::kHome, "home"},
+      {PlacementKind::kPowerOfTwo, "power-of-two"},
+  };
+  return kNames;
+}
 
 // One rack: a ToR Draconis switch fronting a private executor pool.
 struct RackSpec {

@@ -17,15 +17,6 @@ constexpr double kMaxSampleNs = 9.0e18;
 
 std::string FormatParam(double value) { return json::Writer::FormatDouble(value); }
 
-std::string AsciiLower(std::string s) {
-  for (char& c : s) {
-    if (c >= 'A' && c <= 'Z') {
-      c = static_cast<char>(c - 'A' + 'a');
-    }
-  }
-  return s;
-}
-
 std::vector<std::string> Split(const std::string& s, char sep) {
   std::vector<std::string> parts;
   size_t start = 0;
@@ -144,15 +135,9 @@ ServiceTime ServiceTime::PaperExponential() {
 }
 
 bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
   const size_t colon = name.find(':');
   const std::string head =
-      AsciiLower(colon == std::string::npos ? name : name.substr(0, colon));
+      names::AsciiLower(colon == std::string::npos ? name : name.substr(0, colon));
   const std::string rest = colon == std::string::npos ? "" : name.substr(colon + 1);
 
   if (colon == std::string::npos) {
@@ -168,16 +153,17 @@ bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::strin
       *out = PaperExponential();
       return true;
     }
-    return fail("unknown service-time model '" + name +
-                "'; expected e.g. fixed:500us, bimodal, trimodal, exponential, "
-                "exp:250us, lognormal:500us:1.2, pareto:250us:1.3, "
-                "mix:100us@0.5+500us@0.5, heavytail:0.01:10:<base>");
+    return json::Fail(error, "unknown service-time model '" + name +
+                                 "'; expected e.g. fixed:500us, bimodal, trimodal, "
+                                 "exponential, exp:250us, lognormal:500us:1.2, "
+                                 "pareto:250us:1.3, mix:100us@0.5+500us@0.5, "
+                                 "heavytail:0.01:10:<base>");
   }
 
   if (head == "fixed") {
     TimeNs value = 0;
     if (!ParseDuration(rest, &value)) {
-      return fail("fixed: bad duration '" + rest + "'");
+      return json::Fail(error, "fixed: bad duration '" + rest + "'");
     }
     *out = Fixed(value);
     return true;
@@ -185,7 +171,7 @@ bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::strin
   if (head == "exp" || head == "exponential") {
     TimeNs mean = 0;
     if (!ParseDuration(rest, &mean) || mean <= 0) {
-      return fail("exp: bad mean duration '" + rest + "'");
+      return json::Fail(error, "exp: bad mean duration '" + rest + "'");
     }
     *out = Exponential(mean);
     return true;
@@ -196,8 +182,9 @@ bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::strin
     double sigma = 0.0;
     if (parts.size() != 2 || !ParseDuration(parts[0], &mean) || mean <= 0 ||
         !ParseStrictDouble(parts[1], &sigma) || sigma <= 0.0) {
-      return fail("lognormal: expected lognormal:<mean>:<sigma> with sigma > 0, got '" +
-                  rest + "'");
+      return json::Fail(error,
+                        "lognormal: expected lognormal:<mean>:<sigma> with sigma > 0, got '" +
+                            rest + "'");
     }
     *out = Lognormal(mean, sigma);
     return true;
@@ -208,8 +195,8 @@ bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::strin
     double alpha = 0.0;
     if (parts.size() != 2 || !ParseDuration(parts[0], &mean) || mean <= 0 ||
         !ParseStrictDouble(parts[1], &alpha) || alpha <= 1.0) {
-      return fail("pareto: expected pareto:<mean>:<alpha> with alpha > 1, got '" + rest +
-                  "'");
+      return json::Fail(
+          error, "pareto: expected pareto:<mean>:<alpha> with alpha > 1, got '" + rest + "'");
     }
     *out = Pareto(mean, alpha);
     return true;
@@ -223,14 +210,15 @@ bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::strin
       double weight = 0.0;
       if (at == std::string::npos || !ParseDuration(part.substr(0, at), &value) ||
           !ParseStrictDouble(part.substr(at + 1), &weight) || weight <= 0.0) {
-        return fail("mix: expected <duration>@<weight> components joined by '+', got '" +
-                    part + "'");
+        return json::Fail(
+            error,
+            "mix: expected <duration>@<weight> components joined by '+', got '" + part + "'");
       }
       values.push_back(value);
       weights.push_back(weight);
     }
     if (values.empty()) {
-      return fail("mix: no components in '" + rest + "'");
+      return json::Fail(error, "mix: no components in '" + rest + "'");
     }
     *out = Mixture(values, weights, "mixture " + rest);
     return true;
@@ -243,9 +231,10 @@ bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::strin
     if (c2 == std::string::npos || !ParseStrictDouble(rest.substr(0, c1), &prob) ||
         prob < 0.0 || prob > 1.0 ||
         !ParseStrictDouble(rest.substr(c1 + 1, c2 - c1 - 1), &mult) || mult <= 0.0) {
-      return fail("heavytail: expected heavytail:<prob>:<mult>:<base> with prob in "
-                  "[0, 1] and mult > 0, got '" +
-                  rest + "'");
+      return json::Fail(error,
+                        "heavytail: expected heavytail:<prob>:<mult>:<base> with prob in "
+                        "[0, 1] and mult > 0, got '" +
+                            rest + "'");
     }
     ServiceTime base = Fixed(0);
     if (!FromName(rest.substr(c2 + 1), &base, error)) {
@@ -254,7 +243,17 @@ bool ServiceTime::FromName(const std::string& name, ServiceTime* out, std::strin
     *out = HeavyTail(std::move(base), prob, mult);
     return true;
   }
-  return fail("unknown service-time model '" + name + "'");
+  return json::Fail(error, "unknown service-time model '" + name + "'");
+}
+
+bool ServiceTime::FromJson(const json::Value& v, const std::string& what, ServiceTime* out,
+                           std::string* error) {
+  if (!v.is_string()) {
+    return json::Fail(error, what + " must be a service-time name");
+  }
+  std::string name_error;
+  return FromName(v.AsString(), out, &name_error) ||
+         json::Fail(error, what + ": " + name_error);
 }
 
 const std::vector<std::string>& ServiceTime::NameTemplates() {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "common/time.h"
 
@@ -52,6 +53,10 @@ class ServiceTime {
   // and reproduces the same distribution.
   static bool FromName(const std::string& name, ServiceTime* out,
                        std::string* error = nullptr);
+
+  // A JSON member holding a service-time name; `what` names it in errors.
+  static bool FromJson(const json::Value& v, const std::string& what, ServiceTime* out,
+                       std::string* error);
 
   // Grammar templates for --help text and list_schedulers --workloads.
   static const std::vector<std::string>& NameTemplates();

@@ -9,36 +9,6 @@
 
 namespace draconis::workload {
 
-const char* ArrivalKindName(ArrivalKind kind) {
-  switch (kind) {
-    case ArrivalKind::kNone:
-      return "none";
-    case ArrivalKind::kOpenLoop:
-      return "open-loop";
-    case ArrivalKind::kPhased:
-      return "phased";
-    case ArrivalKind::kGoogleTrace:
-      return "google-trace";
-  }
-  return "?";
-}
-
-bool ArrivalKindFromName(const std::string& name, ArrivalKind* out) {
-  for (ArrivalKind kind :
-       {ArrivalKind::kOpenLoop, ArrivalKind::kPhased, ArrivalKind::kGoogleTrace}) {
-    if (name == ArrivalKindName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
-const std::vector<std::string>& ArrivalKindNames() {
-  static const std::vector<std::string> kNames = {"open-loop", "phased", "google-trace"};
-  return kNames;
-}
-
 size_t TotalTasks(const JobStream& stream) {
   size_t total = 0;
   for (const JobArrival& job : stream) {
@@ -228,32 +198,6 @@ JobStream GenerateGoogleTrace(const WorkloadSpec& spec) {
   return stream;
 }
 
-const char* StageName(TaggerStage::Kind kind) {
-  switch (kind) {
-    case TaggerStage::Kind::kLocality:
-      return "locality";
-    case TaggerStage::Kind::kPriority:
-      return "priority";
-    case TaggerStage::Kind::kDeadline:
-      return "deadline";
-    case TaggerStage::Kind::kTenant:
-      return "tenant";
-  }
-  return "?";
-}
-
-bool StageFromName(const std::string& name, TaggerStage::Kind* out) {
-  for (TaggerStage::Kind kind :
-       {TaggerStage::Kind::kLocality, TaggerStage::Kind::kPriority,
-        TaggerStage::Kind::kDeadline, TaggerStage::Kind::kTenant}) {
-    if (name == StageName(kind)) {
-      *out = kind;
-      return true;
-    }
-  }
-  return false;
-}
-
 // Integer ranges of the JSON-readable fields (json::ReadInt reads int64).
 constexpr int64_t kMaxU32 = std::numeric_limits<uint32_t>::max();
 constexpr int64_t kMaxSeed = std::numeric_limits<int64_t>::max();
@@ -353,7 +297,7 @@ std::string TaggerStage::Validate() const {
 
 void TaggerStage::WriteJson(json::Writer& w) const {
   w.BeginObject();
-  w.Key("stage").String(StageName(kind));
+  w.Key("stage").String(names::Name(kind));
   switch (kind) {
     case Kind::kLocality:
       w.Key("num_nodes").UInt(num_nodes);
@@ -378,83 +322,52 @@ void TaggerStage::WriteJson(json::Writer& w) const {
 }
 
 bool TaggerStage::FromJson(const json::Value& v, TaggerStage* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
-  if (!v.is_object()) {
-    return fail("tagger: expected an object");
-  }
-  const json::Value* stage = v.Find("stage");
+  json::ObjectReader r(v, "tagger", error);
   TaggerStage parsed;
-  if (stage == nullptr || !stage->is_string() ||
-      !StageFromName(stage->AsString(), &parsed.kind)) {
-    return fail("tagger: missing or unknown 'stage'");
-  }
-  const json::Value* seed = v.Find("seed");
-  if (seed == nullptr || !seed->is_number()) {
-    return fail("tagger: missing 'seed'");
-  }
-  if (!json::ReadInt(*seed, "tagger: seed", 0, kMaxSeed, &parsed.seed, error)) {
+  if (!r.Enum("stage", &parsed.kind)) {
     return false;
   }
+  r.set_what(std::string(names::Name(parsed.kind)) + " tagger");
+  r.Require("seed");
+  r.Int("seed", 0, kMaxSeed, &parsed.seed);
   switch (parsed.kind) {
-    case Kind::kLocality: {
-      const json::Value* nodes = v.Find("num_nodes");
-      if (nodes == nullptr || !nodes->is_number()) {
-        return fail("locality tagger: missing 'num_nodes'");
-      }
-      if (!json::ReadInt(*nodes, "locality tagger: num_nodes", 0, kMaxU32, &parsed.num_nodes,
-                         error)) {
-        return false;
-      }
+    case Kind::kLocality:
+      r.Require("num_nodes");
+      r.Int("num_nodes", 0, kMaxU32, &parsed.num_nodes);
       break;
-    }
     case Kind::kPriority: {
-      const json::Value* mix = v.Find("mix");
-      if (mix == nullptr || !mix->is_array()) {
-        return fail("priority tagger: missing 'mix'");
-      }
-      parsed.mix.clear();
-      for (const json::Value& m : mix->AsArray()) {
-        if (!m.is_number()) {
-          return fail("priority tagger: 'mix' entries must be numbers");
+      r.Require("mix");
+      if (const json::Value* mix = r.Find("mix"); mix != nullptr) {
+        if (!mix->is_array()) {
+          return r.Fail(r.Member("mix") + " must be an array of numbers");
         }
-        parsed.mix.push_back(m.AsDouble());
+        parsed.mix.clear();
+        for (const json::Value& m : mix->AsArray()) {
+          if (!m.is_number()) {
+            return r.Fail(r.Member("mix") + " must be an array of numbers");
+          }
+          parsed.mix.push_back(m.AsDouble());
+        }
       }
       break;
     }
-    case Kind::kDeadline: {
-      const json::Value* slack = v.Find("slack");
-      const json::Value* jitter = v.Find("jitter_us");
-      if (slack == nullptr || !slack->is_number() || jitter == nullptr ||
-          !jitter->is_number()) {
-        return fail("deadline tagger: missing 'slack' or 'jitter_us'");
-      }
-      parsed.slack = slack->AsDouble();
-      if (!json::ReadInt(*jitter, "deadline tagger: jitter_us", 0, kMaxU32, &parsed.jitter_us,
-                         error)) {
-        return false;
-      }
+    case Kind::kDeadline:
+      r.Require("slack");
+      r.Number("slack", &parsed.slack);
+      r.Require("jitter_us");
+      r.Int("jitter_us", 0, kMaxU32, &parsed.jitter_us);
       break;
-    }
-    case Kind::kTenant: {
-      const json::Value* tenants = v.Find("num_tenants");
-      if (tenants == nullptr || !tenants->is_number()) {
-        return fail("tenant tagger: missing 'num_tenants'");
-      }
-      if (!json::ReadInt(*tenants, "tenant tagger: num_tenants", 0, kMaxU32,
-                         &parsed.num_tenants, error)) {
-        return false;
-      }
+    case Kind::kTenant:
+      r.Require("num_tenants");
+      r.Int("num_tenants", 0, kMaxU32, &parsed.num_tenants);
       break;
-    }
+  }
+  if (!r.Finish()) {
+    return false;
   }
   const std::string invalid = parsed.Validate();
   if (!invalid.empty()) {
-    return fail(invalid);
+    return json::Fail(error, invalid);
   }
   *out = std::move(parsed);
   return true;
@@ -539,7 +452,7 @@ std::string WorkloadSpec::Validate() const {
 }
 
 std::string WorkloadSpec::label() const {
-  std::string out = ArrivalKindName(arrival);
+  std::string out = names::Name(arrival);
   if (arrival == ArrivalKind::kOpenLoop || arrival == ArrivalKind::kPhased) {
     out += " " + service.label();
   }
@@ -548,7 +461,7 @@ std::string WorkloadSpec::label() const {
 
 void WorkloadSpec::WriteJson(json::Writer& w) const {
   w.BeginObject();
-  w.Key("arrival").String(ArrivalKindName(arrival));
+  w.Key("arrival").String(names::Name(arrival));
   w.Key("tasks_per_second").Double(tasks_per_second);
   switch (arrival) {
     case ArrivalKind::kNone:
@@ -589,60 +502,30 @@ std::string WorkloadSpec::ToJson() const {
 }
 
 bool WorkloadSpec::FromJson(const json::Value& v, WorkloadSpec* out, std::string* error) {
-  const auto fail = [error](std::string msg) {
-    if (error != nullptr) {
-      *error = std::move(msg);
-    }
-    return false;
-  };
-  if (!v.is_object()) {
-    return fail("workload: expected an object");
-  }
-  WorkloadSpec parsed;
-  const json::Value* arrival = v.Find("arrival");
-  if (arrival == nullptr || !arrival->is_string()) {
-    return fail("workload: missing 'arrival'");
-  }
-  if (arrival->AsString() != ArrivalKindName(ArrivalKind::kNone) &&
-      !ArrivalKindFromName(arrival->AsString(), &parsed.arrival)) {
-    return fail("workload: unknown arrival process '" + arrival->AsString() + "'");
-  }
-  const auto number = [&v](const char* key, double fallback) {
-    const json::Value* member = v.Find(key);
-    return member != nullptr && member->is_number() ? member->AsDouble() : fallback;
-  };
-  // An absent member keeps its default; a present one must be in range.
-  const auto integer = [&v, error](const char* key, int64_t lo, int64_t hi, auto* field) {
-    const json::Value* member = v.Find(key);
-    return member == nullptr ||
-           json::ReadInt(*member, std::string("workload: ") + key, lo, hi, field, error);
-  };
   constexpr int64_t kMinTime = std::numeric_limits<TimeNs>::min();
   constexpr int64_t kMaxTime = std::numeric_limits<TimeNs>::max();
-  parsed.tasks_per_second = number("tasks_per_second", parsed.tasks_per_second);
-  parsed.duration_sigma = number("duration_sigma", parsed.duration_sigma);
-  parsed.burst_alpha = number("burst_alpha", parsed.burst_alpha);
-  if (!integer("duration_ns", kMinTime, kMaxTime, &parsed.duration) ||
-      !integer("tasks_per_job", 0, kMaxU32, &parsed.tasks_per_job) ||
-      !integer("phase_duration_ns", kMinTime, kMaxTime, &parsed.phase_duration) ||
-      !integer("mean_task_duration_ns", kMinTime, kMaxTime, &parsed.mean_task_duration) ||
-      !integer("max_job_size", 0, kMaxU32, &parsed.max_job_size) ||
-      !integer("priority_levels", 0, kMaxU32, &parsed.priority_levels) ||
-      !integer("seed", 0, kMaxSeed, &parsed.seed)) {
+  json::ObjectReader r(v, "workload", error);
+  WorkloadSpec parsed;
+  // An absent member keeps its default; a present one must be well-typed.
+  r.Enum("arrival", &parsed.arrival);
+  r.Number("tasks_per_second", &parsed.tasks_per_second);
+  r.Number("duration_sigma", &parsed.duration_sigma);
+  r.Number("burst_alpha", &parsed.burst_alpha);
+  r.Int("duration_ns", kMinTime, kMaxTime, &parsed.duration);
+  r.Int("tasks_per_job", 0, kMaxU32, &parsed.tasks_per_job);
+  r.Int("phase_duration_ns", kMinTime, kMaxTime, &parsed.phase_duration);
+  r.Int("mean_task_duration_ns", kMinTime, kMaxTime, &parsed.mean_task_duration);
+  r.Int("max_job_size", 0, kMaxU32, &parsed.max_job_size);
+  r.Int("priority_levels", 0, kMaxU32, &parsed.priority_levels);
+  r.Int("seed", 0, kMaxSeed, &parsed.seed);
+  if (const json::Value* service = r.Find("service");
+      service != nullptr &&
+      !ServiceTime::FromJson(*service, r.Member("service"), &parsed.service, error)) {
     return false;
   }
-  const json::Value* service = v.Find("service");
-  if (service != nullptr) {
-    if (!service->is_string() ||
-        !ServiceTime::FromName(service->AsString(), &parsed.service, error)) {
-      return error != nullptr && !error->empty() ? false
-                                                 : fail("workload: bad 'service'");
-    }
-  }
-  const json::Value* taggers = v.Find("taggers");
-  if (taggers != nullptr) {
+  if (const json::Value* taggers = r.Find("taggers"); taggers != nullptr) {
     if (!taggers->is_array()) {
-      return fail("workload: 'taggers' must be an array");
+      return r.Fail(r.Member("taggers") + " must be an array");
     }
     for (const json::Value& t : taggers->AsArray()) {
       TaggerStage stage;
@@ -652,9 +535,12 @@ bool WorkloadSpec::FromJson(const json::Value& v, WorkloadSpec* out, std::string
       parsed.taggers.push_back(std::move(stage));
     }
   }
+  if (!r.Finish()) {
+    return false;
+  }
   const std::string invalid = parsed.Validate();
   if (!invalid.empty()) {
-    return fail(invalid);
+    return json::Fail(error, invalid);
   }
   *out = std::move(parsed);
   return true;
@@ -663,15 +549,9 @@ bool WorkloadSpec::FromJson(const json::Value& v, WorkloadSpec* out, std::string
 bool WorkloadSpec::FromName(const std::string& name, WorkloadSpec* out,
                             std::string* error) {
   WorkloadSpec parsed;
-  if (!ArrivalKindFromName(name, &parsed.arrival)) {
-    if (error != nullptr) {
-      std::string choices;
-      for (const std::string& n : ArrivalKindNames()) {
-        choices += (choices.empty() ? "" : ", ") + n;
-      }
-      *error = "unknown workload '" + name + "'; expected one of: " + choices;
-    }
-    return false;
+  if (!names::Parse(name, &parsed.arrival) || !parsed.enabled()) {
+    return json::Fail(error, "unknown workload '" + name + "'; must be one of " +
+                                 names::Choices<ArrivalKind>());
   }
   *out = std::move(parsed);
   return true;

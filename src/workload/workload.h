@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "common/names.h"
 #include "common/time.h"
 #include "workload/service_time.h"
 #include "workload/spec.h"
@@ -34,10 +35,17 @@ namespace draconis::workload {
 // cluster::Feeder).
 enum class ArrivalKind { kNone, kOpenLoop, kPhased, kGoogleTrace };
 
-const char* ArrivalKindName(ArrivalKind kind);
-bool ArrivalKindFromName(const std::string& name, ArrivalKind* out);
-// The registerable arrival-process names, for flags and list_schedulers.
-const std::vector<std::string>& ArrivalKindNames();
+// "none" is written and read back in JSON, but it is not a process a flag
+// or WorkloadSpec::FromName can select.
+inline names::Table<ArrivalKind> NameTable(ArrivalKind) {
+  static constexpr names::Spelling<ArrivalKind> kNames[] = {
+      {ArrivalKind::kNone, "none", false},
+      {ArrivalKind::kOpenLoop, "open-loop"},
+      {ArrivalKind::kPhased, "phased"},
+      {ArrivalKind::kGoogleTrace, "google-trace"},
+  };
+  return kNames;
+}
 
 // The paper's 4-level priority mix (1.2% / 1.7% / 64.6% / 32.2%), shared by
 // the google-trace generator and the priority tagger stage.
@@ -66,6 +74,16 @@ struct TaggerStage {
   void WriteJson(json::Writer& w) const;
   static bool FromJson(const json::Value& v, TaggerStage* out, std::string* error);
 };
+
+inline names::Table<TaggerStage::Kind> NameTable(TaggerStage::Kind) {
+  static constexpr names::Spelling<TaggerStage::Kind> kNames[] = {
+      {TaggerStage::Kind::kLocality, "locality"},
+      {TaggerStage::Kind::kPriority, "priority"},
+      {TaggerStage::Kind::kDeadline, "deadline"},
+      {TaggerStage::Kind::kTenant, "tenant"},
+  };
+  return kNames;
+}
 
 struct WorkloadSpec {
   ArrivalKind arrival = ArrivalKind::kNone;

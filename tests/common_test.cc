@@ -8,6 +8,7 @@
 
 #include "common/check.h"
 #include "common/json.h"
+#include "common/names.h"
 #include "common/rng.h"
 #include "common/time.h"
 
@@ -349,6 +350,98 @@ TEST(JsonParseTest, ErrorsCarryLineNumbers) {
   std::string error;
   ASSERT_FALSE(json::Parse("{\n  \"a\": 1,\n  oops\n}", &doc, &error));
   EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+}
+
+enum class Fruit { kApple, kPear };
+
+names::Table<Fruit> NameTable(Fruit) {
+  static constexpr names::Spelling<Fruit> kNames[] = {{Fruit::kApple, "apple"},
+                                                      {Fruit::kPear, "pear"}};
+  return kNames;
+}
+
+json::Value ParseOrDie(const std::string& text) {
+  json::Value doc;
+  std::string error;
+  EXPECT_TRUE(json::Parse(text, &doc, &error)) << error;
+  return doc;
+}
+
+TEST(JsonObjectReaderTest, ReadsTypedMembersAndKeepsDefaultsForAbsentOnes) {
+  const json::Value doc = ParseOrDie(R"({"fruit": "PEAR", "count": 3, "weight": 0.5})");
+  std::string error;
+  json::ObjectReader r(doc, "basket", &error);
+  Fruit fruit = Fruit::kApple;
+  int64_t count = 0;
+  double weight = 0.0;
+  double price = 9.0;
+  EXPECT_TRUE(r.Enum("fruit", &fruit));
+  EXPECT_TRUE(r.Int("count", 0, 10, &count));
+  EXPECT_TRUE(r.Number("weight", &weight));
+  EXPECT_TRUE(r.Number("price", &price));
+  EXPECT_TRUE(r.Finish()) << error;
+  EXPECT_EQ(fruit, Fruit::kPear);
+  EXPECT_EQ(count, 3);
+  EXPECT_EQ(weight, 0.5);
+  EXPECT_EQ(price, 9.0);
+}
+
+TEST(JsonObjectReaderTest, NamesTheMemberOnEveryKindOfError) {
+  struct Case {
+    const char* text;
+    const char* expected_error;
+  };
+  const std::vector<Case> cases = {
+      {R"([1])", "basket must be a JSON object"},
+      {R"({"fruit": "plum"})", "basket: fruit must be one of apple|pear"},
+      {R"({"fruit": "pear", "count": 11})", "basket: count must be an integer in [0, 10]"},
+      {R"({"fruit": "pear", "weight": "1e5"})", "basket: weight must be a number"},
+      {R"({"fruit": "pear", "wieght": 1})", "basket has unknown key \"wieght\""},
+      {R"({"count": 1})", "basket: fruit must be one of apple|pear"},
+  };
+  for (const Case& c : cases) {
+    const json::Value doc = ParseOrDie(c.text);
+    std::string error;
+    json::ObjectReader r(doc, "basket", &error);
+    Fruit fruit = Fruit::kApple;
+    int64_t count = 0;
+    double weight = 0.0;
+    r.Enum("fruit", &fruit);
+    r.Int("count", 0, 10, &count);
+    r.Number("weight", &weight);
+    EXPECT_FALSE(r.Finish()) << c.text;
+    EXPECT_EQ(error, c.expected_error) << c.text;
+  }
+}
+
+TEST(JsonObjectReaderTest, FirstFailureWinsAndLaterReadsAreNoOps) {
+  const json::Value doc = ParseOrDie(R"({"a": "x", "b": 2})");
+  std::string error;
+  json::ObjectReader r(doc, "doc", &error, ".");
+  int64_t a = 7;
+  int64_t b = 7;
+  EXPECT_FALSE(r.Int("a", 0, 5, &a));
+  EXPECT_FALSE(r.Int("b", 0, 5, &b));
+  EXPECT_FALSE(r.Require("missing"));
+  EXPECT_FALSE(r.Finish());
+  EXPECT_EQ(error, "doc.a must be an integer in [0, 5]");
+  EXPECT_EQ(a, 7);
+  EXPECT_EQ(b, 7);
+}
+
+TEST(JsonObjectReaderTest, RequireNamesAMissingMember) {
+  const json::Value doc = ParseOrDie(R"({})");
+  json::ObjectReader r(doc, "doc", nullptr);  // a null error is allowed
+  EXPECT_FALSE(r.Require("seed"));
+  std::string error;
+  json::ObjectReader named(doc, "doc", &error);
+  EXPECT_FALSE(named.Require("seed"));
+  EXPECT_EQ(error, "doc: seed is missing");
+}
+
+TEST(NamesTest, AsciiLowerFoldsOnlyAsciiLetters) {
+  EXPECT_EQ(names::AsciiLower("Power-Of-TWO_9"), "power-of-two_9");
+  EXPECT_EQ(names::AsciiLower("\xC3\x89"), "\xC3\x89");
 }
 
 TEST(JsonReadIntTest, AcceptsIntegralValuesInRange) {

@@ -119,6 +119,22 @@ TEST(JobSpecTest, FromJsonRejectsMalformedDocuments) {
   }
 }
 
+TEST(JobSpecTest, FromJsonRejectsUnknownKeys) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"({"tasks": [{"duration_ns": 5}], "name": "x"})", R"(dag job has unknown key "name")"},
+      {R"({"tasks": [{"duration_ns": 5}, {"duration_ns": 5, "dependencies": [0]}]})",
+       R"(dag job: task 1 has unknown key "dependencies")"},
+  };
+  for (const auto& [text, expected] : bad) {
+    json::Value value;
+    std::string error;
+    ASSERT_TRUE(json::Parse(text, &value, &error)) << text;
+    JobSpec parsed;
+    EXPECT_FALSE(JobSpec::FromJson(value, &parsed, &error)) << text;
+    EXPECT_NE(error.find(expected), std::string::npos) << text << ": " << error;
+  }
+}
+
 // Every integer member is a checked read: a non-integral or out-of-range
 // value is a located error, never a wrapped index or a CheckFailure.
 TEST(JobSpecTest, FromJsonRejectsNonIntegralAndOutOfRangeIntegers) {
@@ -161,28 +177,18 @@ DagWorkloadSpec SmallSpec(DagShape shape) {
   return spec;
 }
 
-TEST(DagWorkloadSpecTest, ShapeNamesRoundTrip) {
-  for (const std::string& name : DagShapeNames()) {
-    DagShape shape;
-    ASSERT_TRUE(DagShapeFromName(name, &shape)) << name;
-    EXPECT_EQ(DagShapeName(shape), name);
-  }
-  DagShape shape;
-  EXPECT_FALSE(DagShapeFromName("moebius", &shape));
-}
-
 TEST(DagWorkloadSpecTest, GeneratedJobsAreValidAndShaped) {
   for (DagShape shape : {DagShape::kChain, DagShape::kFanOutFanIn, DagShape::kRandom}) {
     const DagWorkloadSpec spec = SmallSpec(shape);
     const std::vector<DagJobArrival> jobs = spec.Generate();
-    ASSERT_GT(jobs.size(), 0u) << DagShapeName(shape);
+    ASSERT_GT(jobs.size(), 0u) << names::Name(shape);
     TimeNs last = 0;
     for (const DagJobArrival& job : jobs) {
       EXPECT_GE(job.at, last);
       last = job.at;
       EXPECT_LT(job.at, spec.duration);
-      EXPECT_EQ(job.spec.Validate(), "") << DagShapeName(shape);
-      EXPECT_EQ(job.spec.tasks.size(), spec.TasksPerJob()) << DagShapeName(shape);
+      EXPECT_EQ(job.spec.Validate(), "") << names::Name(shape);
+      EXPECT_EQ(job.spec.tasks.size(), spec.TasksPerJob()) << names::Name(shape);
     }
 
     const JobSpec& first = jobs[0].spec;
@@ -268,6 +274,35 @@ TEST(DagWorkloadSpecTest, FromJsonRejectsNonIntegralAndOutOfRangeIntegers) {
     EXPECT_FALSE(ok) << text;
     EXPECT_NE(error.find("dag workload: " + key), std::string::npos) << text << ": " << error;
   }
+}
+
+// A present number member must be a number, and every member the reader
+// does not know is an error.
+TEST(DagWorkloadSpecTest, FromJsonRejectsWrongTypedNumbersAndUnknownKeys) {
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {R"({"shape": "random", "edge_prob": "0.5"})", "dag workload: edge_prob must be a number"},
+      {R"({"shape": "chain", "jobs_per_second": "1e5"})",
+       "dag workload: jobs_per_second must be a number"},
+      {R"({"shape": "chain", "dpeth": 3})", R"(dag workload has unknown key "dpeth")"},
+      {R"({"shape": "ring"})", "dag workload: shape must be one of chain|fanout|random"},
+      {R"({"shape": "chain", "service": 5})", "dag workload: service must be a service-time name"},
+      {R"({"shape": "chain", "stage_services": ["fixed:1us", "warp"]})",
+       "dag workload: stage_services entry: unknown service-time model 'warp'"},
+  };
+  for (const auto& [text, expected] : bad) {
+    json::Value value;
+    std::string error;
+    ASSERT_TRUE(json::Parse(text, &value, &error)) << text;
+    DagWorkloadSpec parsed;
+    EXPECT_FALSE(DagWorkloadSpec::FromJson(value, &parsed, &error)) << text;
+    EXPECT_NE(error.find(expected), std::string::npos) << text << ": " << error;
+  }
+  json::Value value;
+  std::string error;
+  ASSERT_TRUE(json::Parse(R"({"shape": "Chain", "depth": 2})", &value, &error)) << error;
+  DagWorkloadSpec parsed;
+  ASSERT_TRUE(DagWorkloadSpec::FromJson(value, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.shape, DagShape::kChain);
 }
 
 TEST(DagWorkloadSpecTest, ValidateAndFlagsRejectBadValues) {

@@ -186,8 +186,8 @@ TEST(DeterminismTest, PinnedGoldensPerSchedulerKind) {
   };
   // The same table must hold on every queue backend — the goldens pin the
   // (at, seq) contract, not one queue implementation.
-  for (sim::QueueBackend backend : sim::AllQueueBackends()) {
-    SCOPED_TRACE(sim::QueueBackendName(backend));
+  for (sim::QueueBackend backend : names::Values<sim::QueueBackend>()) {
+    SCOPED_TRACE(names::Name(backend));
     for (const SchedulerGolden& golden : goldens) {
       SCOPED_TRACE(cluster::SchedulerKindName(golden.kind));
       cluster::ExperimentConfig config = Fig05aMiniConfig();
@@ -228,12 +228,12 @@ TEST(DeterminismTest, PinnedGoldensPerIntraNodeDispatcher) {
       {{SchedulerKind::kRackSched, 330, 221183, 1998847, 737279, 2490367, 25384.615384615387},
        IntraNodePolicy::kFcfs, true},
   };
-  for (sim::QueueBackend backend : sim::AllQueueBackends()) {
-    SCOPED_TRACE(sim::QueueBackendName(backend));
+  for (sim::QueueBackend backend : names::Values<sim::QueueBackend>()) {
+    SCOPED_TRACE(names::Name(backend));
     for (const IntraNodeGolden& row : goldens) {
       const SchedulerGolden& golden = row.golden;
       SCOPED_TRACE(std::string(cluster::SchedulerKindName(golden.kind)) + " intra " +
-                   baselines::IntraNodePolicyName(row.intra));
+                   names::Name(row.intra));
       cluster::ExperimentConfig config = Fig05aMiniConfig();
       config.scheduler = golden.kind;
       config.racksched_intra_policy = row.intra;
@@ -346,11 +346,11 @@ TEST(DeterminismTest, NonDefaultSwitchPoliciesReplayBitIdentically) {
     }
     return config;
   };
-  for (core::SwitchPolicy policy : core::AllSwitchPolicies()) {
+  for (core::SwitchPolicy policy : names::Values<core::SwitchPolicy>()) {
     if (policy == core::SwitchPolicy::kFifo) {
       continue;
     }
-    SCOPED_TRACE(core::SwitchPolicyName(policy));
+    SCOPED_TRACE(names::Name(policy));
     cluster::ExperimentResult a = RunExperiment(make(policy));
     cluster::ExperimentResult b = RunExperiment(make(policy));
     EXPECT_GT(a.metrics->tasks_completed(), 0u);
@@ -637,8 +637,8 @@ struct ScriptedWorkload {
 TEST(DeterminismTest, RunUntilInSmallStepsEqualsOneRunAll) {
   // On every backend — and the histories must also agree across backends.
   std::vector<std::vector<int>> per_backend_orders;
-  for (sim::QueueBackend backend : sim::AllQueueBackends()) {
-    SCOPED_TRACE(sim::QueueBackendName(backend));
+  for (sim::QueueBackend backend : names::Values<sim::QueueBackend>()) {
+    SCOPED_TRACE(names::Name(backend));
     std::vector<int> order_all;
     std::vector<int> order_stepped;
     uint64_t executed_all = 0;

@@ -262,11 +262,11 @@ TEST_P(EventQueuePropertyTest, SameInstantClustersKeepSchedulingOrder) {
 }
 
 std::string BackendName(const ::testing::TestParamInfo<QueueBackend>& param) {
-  return QueueBackendName(param.param);
+  return names::Name(param.param);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, EventQueuePropertyTest,
-                         ::testing::ValuesIn(AllQueueBackends()), BackendName);
+                         ::testing::ValuesIn(names::Values<QueueBackend>()), BackendName);
 
 // Differential below the Simulator: drive the raw backends through the
 // EventQueue interface with randomized push/pop interleavings (including

@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <string>
+#include <vector>
 
 #include "cluster/deployment.h"
 #include "cluster/experiment.h"
 #include "cluster/feeder.h"
 #include "common/check.h"
+#include "common/names.h"
+#include "dag/job_spec.h"
+#include "fault/plan.h"
 #include "topology/topology.h"
 #include "workload/workload.h"
 
@@ -124,20 +129,6 @@ TEST(ExperimentTest, IntraNodePolicyFollowsTheRegistryBit) {
   EXPECT_TRUE(DeploymentRegistry::Get().Info(SchedulerKind::kMalcolm).intra_node_dispatcher);
 }
 
-TEST(ExperimentTest, IntraNodePolicyNamesRoundTrip) {
-  for (baselines::IntraNodePolicy policy :
-       {baselines::IntraNodePolicy::kFcfs, baselines::IntraNodePolicy::kProcessorSharing,
-        baselines::IntraNodePolicy::kEdf}) {
-    baselines::IntraNodePolicy parsed = baselines::IntraNodePolicy::kFcfs;
-    ASSERT_TRUE(baselines::IntraNodePolicyFromName(baselines::IntraNodePolicyName(policy),
-                                                   &parsed));
-    EXPECT_EQ(parsed, policy);
-  }
-  baselines::IntraNodePolicy untouched = baselines::IntraNodePolicy::kEdf;
-  EXPECT_FALSE(baselines::IntraNodePolicyFromName("srpt", &untouched));
-  EXPECT_EQ(untouched, baselines::IntraNodePolicy::kEdf);
-}
-
 TEST(ExperimentTest, PipelineOverridesAreHonored) {
   ExperimentConfig config = TinyConfig();
   config.scheduler = SchedulerKind::kR2P2;
@@ -199,17 +190,85 @@ TEST(ExperimentTest, SchedulerKindFromNameIsCaseInsensitiveWithShortSpellings) {
   EXPECT_FALSE(SchedulerKindFromName("", &parsed));
 }
 
-TEST(ExperimentTest, PolicyKindNamesRoundTrip) {
-  for (PolicyKind kind : {PolicyKind::kFcfs, PolicyKind::kPriority, PolicyKind::kResource,
-                          PolicyKind::kLocality}) {
-    PolicyKind parsed;
-    ASSERT_TRUE(PolicyKindFromName(PolicyKindName(kind), &parsed)) << PolicyKindName(kind);
-    EXPECT_EQ(parsed, kind);
+// --- Name tables ---------------------------------------------------------------
+
+// One enum's spelling table: `spellings` pins every enumerator's name in
+// enum order (the bytes every writer emits), `unknown` is a name it must
+// reject.
+template <typename E>
+void ExpectNameTable(const std::vector<std::string>& spellings, const std::string& unknown) {
+  const std::vector<E> values = names::Values<E>();
+  ASSERT_EQ(values.size(), spellings.size());
+  for (size_t i = 0; i < spellings.size(); ++i) {
+    const E value = static_cast<E>(i);
+    EXPECT_EQ(names::Name(value), spellings[i]);
+    E parsed = values[(i + 1) % values.size()];
+    ASSERT_TRUE(names::Parse(names::Name(value), &parsed)) << spellings[i];
+    EXPECT_EQ(parsed, value) << spellings[i];
+    std::string upper = spellings[i];
+    for (char& c : upper) {
+      c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    }
+    parsed = values[(i + 1) % values.size()];
+    ASSERT_TRUE(names::Parse(upper, &parsed)) << upper;
+    EXPECT_EQ(parsed, value) << upper;
   }
-  PolicyKind parsed;
-  ASSERT_TRUE(PolicyKindFromName("FCFS", &parsed));
-  EXPECT_EQ(parsed, PolicyKind::kFcfs);
-  EXPECT_FALSE(PolicyKindFromName("round-robin", &parsed));
+  for (const std::string& bad : {std::string(), unknown, std::string("?")}) {
+    E untouched = values.back();
+    EXPECT_FALSE(names::Parse(bad, &untouched)) << "'" << bad << "'";
+    EXPECT_EQ(untouched, values.back()) << "'" << bad << "'";
+  }
+}
+
+TEST(NameTableTest, EveryEnumRoundTripsItsSpellingsCaseInsensitively) {
+  ExpectNameTable<PolicyKind>({"fcfs", "priority", "resource", "locality"}, "round-robin");
+  ExpectNameTable<core::SwitchPolicy>({"fifo", "sp", "srpt", "edf", "wfq"}, "lifo");
+  ExpectNameTable<baselines::IntraNodePolicy>({"fcfs", "ps", "edf"}, "srpt");
+  ExpectNameTable<sim::QueueBackend>({"ladder", "heap"}, "calendar");
+  ExpectNameTable<topology::PlacementKind>({"home", "power-of-two"}, "round-robin");
+  ExpectNameTable<workload::ArrivalKind>({"none", "open-loop", "phased", "google-trace"},
+                                         "mapreduce");
+  ExpectNameTable<workload::TaggerStage::Kind>({"locality", "priority", "deadline", "tenant"},
+                                               "colour");
+  ExpectNameTable<dag::DagShape>({"chain", "fanout", "random"}, "moebius");
+  ExpectNameTable<fault::EventKind>(
+      {"lossy_link", "node_crash", "latency_degrade", "scheduler_failover"}, "meteor_strike");
+  ExpectNameTable<fault::NodeRef::Role>({"scheduler", "standby", "executor", "client", "node"},
+                                        "tor");
+}
+
+TEST(NameTableTest, ChoicesListEverySelectableSpelling) {
+  EXPECT_EQ(names::Choices<PolicyKind>(), "fcfs|priority|resource|locality");
+  EXPECT_EQ(names::Choices<sim::QueueBackend>(), "ladder|heap");
+  // ArrivalKind::kNone reads and writes as "none", but no flag or
+  // WorkloadSpec::FromName selects it.
+  EXPECT_EQ(names::Names<workload::ArrivalKind>(),
+            (std::vector<std::string>{"open-loop", "phased", "google-trace"}));
+  workload::WorkloadSpec spec;
+  EXPECT_FALSE(workload::WorkloadSpec::FromName("none", &spec));
+  EXPECT_TRUE(workload::WorkloadSpec::FromName("Open-Loop", &spec));
+  EXPECT_EQ(spec.arrival, workload::ArrivalKind::kOpenLoop);
+}
+
+TEST(NameTableTest, SchedulerKindsRoundTripThroughTheRegistry) {
+  for (const DeploymentInfo& info : DeploymentRegistry::Get().all()) {
+    for (std::string name : {std::string(info.canonical_name), std::string(info.flag_name)}) {
+      SchedulerKind parsed = info.kind == SchedulerKind::kDraconis ? SchedulerKind::kMalcolm
+                                                                   : SchedulerKind::kDraconis;
+      ASSERT_TRUE(SchedulerKindFromName(name, &parsed)) << name;
+      EXPECT_EQ(parsed, info.kind) << name;
+      for (char& c : name) {
+        c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+      }
+      ASSERT_TRUE(SchedulerKindFromName(name, &parsed)) << name;
+      EXPECT_EQ(parsed, info.kind) << name;
+    }
+    EXPECT_STREQ(SchedulerKindName(info.kind), info.canonical_name);
+  }
+  SchedulerKind untouched = SchedulerKind::kSparrow;
+  EXPECT_FALSE(SchedulerKindFromName("", &untouched));
+  EXPECT_FALSE(SchedulerKindFromName("mesos", &untouched));
+  EXPECT_EQ(untouched, SchedulerKind::kSparrow);
 }
 
 // --- ExperimentConfig::Validate ----------------------------------------------
@@ -443,8 +502,8 @@ TEST(DeploymentRegistryTest, SmokeMatrixEveryKindCompletesAndHarvests) {
     }
     for (PolicyKind policy : info.policies) {
       for (baselines::IntraNodePolicy intra : intras) {
-        SCOPED_TRACE(std::string(info.canonical_name) + " / " + PolicyKindName(policy) + " / " +
-                     baselines::IntraNodePolicyName(intra));
+        SCOPED_TRACE(std::string(info.canonical_name) + " / " + names::Name(policy) + " / " +
+                     names::Name(intra));
         ExperimentConfig config = TinyConfig(20000.0);  // 25%: everything drains
         config.scheduler = info.kind;
         config.policy = policy;

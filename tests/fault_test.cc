@@ -150,7 +150,7 @@ struct BadPlanCase {
 TEST(FaultPlanJsonTest, RejectsMalformedPlans) {
   const std::vector<BadPlanCase> cases = {
       {R"([1, 2])", "must be a JSON object"},
-      {R"({"events": [], "bogus": 1})", "unknown top-level key \"bogus\""},
+      {R"({"events": [], "bogus": 1})", "fault plan has unknown key \"bogus\""},
       {R"({"schema_version": 2, "events": []})", "unsupported fault plan schema_version"},
       {R"({"name": "no events"})", "needs an \"events\" array"},
       {R"({"events": [{"kind": "meteor_strike", "start": 0}]})", "kind must be one of"},

@@ -39,30 +39,16 @@ uint64_t RankOf(RankFunction& fn, const net::TaskInfo& task, TimeNs now) {
 // ---------------------------------------------------------------------------
 // Naming and construction.
 
-TEST(RankFunctionTest, PolicyNamesRoundTrip) {
-  for (SwitchPolicy policy : AllSwitchPolicies()) {
-    SwitchPolicy parsed;
-    ASSERT_TRUE(SwitchPolicyFromName(SwitchPolicyName(policy), &parsed))
-        << SwitchPolicyName(policy);
-    EXPECT_EQ(parsed, policy);
-  }
-  SwitchPolicy parsed;
-  EXPECT_TRUE(SwitchPolicyFromName("SRPT", &parsed));  // case-insensitive
-  EXPECT_EQ(parsed, SwitchPolicy::kSrpt);
-  EXPECT_FALSE(SwitchPolicyFromName("lifo", &parsed));
-  EXPECT_FALSE(SwitchPolicyFromName("", &parsed));
-}
-
 TEST(RankFunctionTest, MakeRankFunctionCoversEveryPolicy) {
   RankFunctionConfig config;
   EXPECT_EQ(MakeRankFunction(SwitchPolicy::kFifo, config), nullptr);
-  for (SwitchPolicy policy : AllSwitchPolicies()) {
+  for (SwitchPolicy policy : names::Values<SwitchPolicy>()) {
     if (policy == SwitchPolicy::kFifo) {
       continue;
     }
     std::unique_ptr<RankFunction> fn = MakeRankFunction(policy, config);
-    ASSERT_NE(fn, nullptr) << SwitchPolicyName(policy);
-    EXPECT_STREQ(fn->name(), SwitchPolicyName(policy));
+    ASSERT_NE(fn, nullptr) << names::Name(policy);
+    EXPECT_STREQ(fn->name(), names::Name(policy));
   }
 }
 

@@ -13,7 +13,7 @@ namespace {
 class SimulatorTest : public ::testing::TestWithParam<QueueBackend> {};
 
 std::string BackendName(const ::testing::TestParamInfo<QueueBackend>& info) {
-  return QueueBackendName(info.param);
+  return names::Name(info.param);
 }
 
 TEST_P(SimulatorTest, StartsAtZero) {
@@ -235,7 +235,7 @@ TEST_P(SimulatorTest, ClearInvalidatesOutstandingHandles) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, SimulatorTest,
-                         ::testing::ValuesIn(AllQueueBackends()), BackendName);
+                         ::testing::ValuesIn(names::Values<QueueBackend>()), BackendName);
 
 // --- Timer (the reusable-event path) ----------------------------------------
 
@@ -335,7 +335,7 @@ TEST_P(TimerTest, SlotRecyclingAfterTimerDeathIsSafe) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, TimerTest,
-                         ::testing::ValuesIn(AllQueueBackends()), BackendName);
+                         ::testing::ValuesIn(names::Values<QueueBackend>()), BackendName);
 
 }  // namespace
 }  // namespace draconis::sim

@@ -162,6 +162,30 @@ TEST(FlagsTest, ChoiceAlternativesListedInUsage) {
   EXPECT_NE(f.parser.Usage().find("[all|draconis|r2p2]"), std::string::npos);
 }
 
+TEST(FlagsTest, ChoiceErrorListsTheAlternatives) {
+  SweepFlagsFixture f;
+  std::string error;
+  EXPECT_FALSE(f.Parse({"--scheduler=sparrow"}, &error));
+  EXPECT_NE(error.find("must be one of all|draconis|r2p2"), std::string::npos) << error;
+}
+
+// An empty default means "not set": it needs no listed "" choice, and an
+// explicit empty value keeps it unset.
+TEST(FlagsTest, ChoiceWithAnEmptyDefaultIsUnsetUntilGiven) {
+  std::string arrival;
+  flags::Parser parser("test");
+  parser.AddChoice("workload", &arrival, {"open-loop", "phased"}, "arrival process");
+  const char* unset[] = {"prog", "--workload="};
+  std::string error;
+  ASSERT_TRUE(parser.Parse(2, unset, &error)) << error;
+  EXPECT_EQ(arrival, "");
+  const char* set[] = {"prog", "--workload=phased"};
+  ASSERT_TRUE(parser.Parse(2, set, &error)) << error;
+  EXPECT_EQ(arrival, "phased");
+  const char* bad[] = {"prog", "--workload=bursty"};
+  EXPECT_FALSE(parser.Parse(2, bad, &error));
+}
+
 // --- trace I/O ----------------------------------------------------------------
 
 TEST(TraceIoTest, RoundTrip) {

@@ -452,6 +452,77 @@ TEST(WorkloadSpecTest, FromJsonRejectsNonIntegralAndOutOfRangeIntegers) {
   }
 }
 
+struct BadSpecCase {
+  std::string text;
+  std::string expected_error;  // substring
+};
+
+void ExpectRejected(const std::vector<BadSpecCase>& cases) {
+  for (const BadSpecCase& c : cases) {
+    json::Value value;
+    std::string error;
+    ASSERT_TRUE(json::Parse(c.text, &value, &error)) << error;
+    WorkloadSpec parsed;
+    EXPECT_FALSE(WorkloadSpec::FromJson(value, &parsed, &error)) << c.text;
+    EXPECT_NE(error.find(c.expected_error), std::string::npos)
+        << "input: " << c.text << "\nerror: " << error;
+  }
+}
+
+// A present number member must be a number: "1e5" as a string used to run
+// at the default rate.
+TEST(WorkloadSpecTest, FromJsonRejectsWrongTypedNumbers) {
+  std::vector<BadSpecCase> cases;
+  for (const std::string key : {"tasks_per_second", "duration_sigma", "burst_alpha"}) {
+    cases.push_back({R"({"arrival": "google-trace", ")" + key + R"(": "1e5"})",
+                     "workload: " + key + " must be a number"});
+  }
+  cases.push_back({R"({"arrival": "open-loop",
+                       "taggers": [{"stage": "deadline", "slack": "3", "jitter_us": 0,
+                                    "seed": 1}]})",
+                   "deadline tagger: slack must be a number"});
+  ExpectRejected(cases);
+}
+
+// Every member a reader does not know is an error, typos included; a tagger
+// rejects another stage's parameters too.
+TEST(WorkloadSpecTest, FromJsonRejectsUnknownKeys) {
+  ExpectRejected({
+      {R"({"arrival": "open-loop", "tasks_per_secnd": 1e5})",
+       R"(workload has unknown key "tasks_per_secnd")"},
+      {R"({"arrival": "open-loop",
+           "taggers": [{"stage": "deadline", "slak": 2, "jitter_us": 0, "seed": 1}]})",
+       "deadline tagger: slack is missing"},
+      {R"({"arrival": "open-loop",
+           "taggers": [{"stage": "deadline", "slack": 2, "slak": 2, "jitter_us": 0,
+                        "seed": 1}]})",
+       R"(deadline tagger has unknown key "slak")"},
+      {R"({"arrival": "open-loop",
+           "taggers": [{"stage": "locality", "num_nodes": 2, "slack": 3, "seed": 1}]})",
+       R"(locality tagger has unknown key "slack")"},
+      {R"({"arrival": "open-loop", "taggers": [{"stage": "colour", "seed": 1}]})",
+       "tagger: stage must be one of locality|priority|deadline|tenant"},
+      {R"({"arrival": "bursty"})", "workload: arrival must be one of open-loop|phased|google-trace"},
+  });
+}
+
+TEST(WorkloadSpecTest, FromJsonReadsNamesCaseInsensitively) {
+  json::Value value;
+  std::string error;
+  ASSERT_TRUE(json::Parse(R"({"arrival": "Open-Loop", "duration_ns": 1000000,
+                              "taggers": [{"stage": "LOCALITY", "num_nodes": 3, "seed": 1}]})",
+                          &value, &error))
+      << error;
+  WorkloadSpec parsed;
+  ASSERT_TRUE(WorkloadSpec::FromJson(value, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.arrival, ArrivalKind::kOpenLoop);
+  ASSERT_EQ(parsed.taggers.size(), 1u);
+  EXPECT_EQ(parsed.taggers[0].kind, TaggerStage::Kind::kLocality);
+  ASSERT_TRUE(json::Parse(R"({"arrival": "none"})", &value, &error)) << error;
+  ASSERT_TRUE(WorkloadSpec::FromJson(value, &parsed, &error)) << error;
+  EXPECT_FALSE(parsed.enabled());
+}
+
 TEST(WorkloadSpecTest, FromNameSelectsTheArrivalProcess) {
   WorkloadSpec spec;
   std::string error;
