@@ -324,6 +324,8 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, WorkloadDriver& d
   }
 
   simulator.RunUntil(horizon + config.drain_margin);
+  result.events_executed = simulator.executed_events();
+  result.order_fingerprint = simulator.order_fingerprint();
 
   if (testbed.recorder() != nullptr) {
     testbed.recorder()->FinalizeAt(simulator.Now());
@@ -378,6 +380,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, WorkloadDriver& d
   }
 
   driver.Harvest(&result);
+  result.outcome_fingerprint = metrics->outcome_fingerprint();
   result.metrics = testbed.TakeMetrics();
   return result;
 }

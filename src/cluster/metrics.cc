@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace draconis::cluster {
 
@@ -18,6 +19,17 @@ MetricsHub::MetricsHub(TimeNs measure_start, TimeNs measure_end, size_t num_node
   }
 }
 
+namespace {
+uint64_t JobKey(const net::TaskId& id) { return static_cast<uint64_t>(id.uid) << 32 | id.jid; }
+}  // namespace
+
+void MetricsHub::FoldOutcome(Outcome kind, uint64_t a, uint64_t b, TimeNs at) {
+  uint64_t h = MixBits(static_cast<uint64_t>(kind));
+  h = MixBits(h ^ a);
+  h = MixBits(h ^ b);
+  outcome_fingerprint_ += MixBits(h ^ static_cast<uint64_t>(at));
+}
+
 bool MetricsHub::FirstExecution(const net::TaskId& id) { return executed_.insert(id).second; }
 
 void MetricsHub::RecordExecutionStart(const net::TaskInfo& task, TimeNs exec_start) {
@@ -28,6 +40,7 @@ void MetricsHub::RecordExecutionStart(const net::TaskInfo& task, TimeNs exec_sta
 }
 
 void MetricsHub::RecordAssignment(const net::TaskInfo& task, TimeNs assign_time) {
+  FoldOutcome(Outcome::kAssignment, JobKey(task.id), task.id.tid, assign_time);
   if (!InWindow(task.meta.first_submit_time) || task.meta.enqueue_time < 0) {
     return;
   }
@@ -56,6 +69,7 @@ void MetricsHub::RecordPlacement(net::TaskInfo::Placement placement) {
 }
 
 void MetricsHub::RecordNodeCompletion(uint32_t worker_node, TimeNs at) {
+  FoldOutcome(Outcome::kNodeCompletion, worker_node, 0, at);
   ++total_node_completions_;
   if (worker_node < node_completions_.size()) {
     node_completions_[worker_node].Record(at);
@@ -63,6 +77,8 @@ void MetricsHub::RecordNodeCompletion(uint32_t worker_node, TimeNs at) {
 }
 
 void MetricsHub::RecordEndToEnd(const net::TaskInfo& task, TimeNs completion_time) {
+  FoldOutcome(Outcome::kCompletion, JobKey(task.id),
+              static_cast<uint64_t>(task.id.tid) << 32 | task.meta.attempt, completion_time);
   if (!InWindow(task.meta.first_submit_time)) {
     return;
   }
@@ -118,6 +134,11 @@ void MetricsHub::RecordSubmission(TimeNs first_submit) {
 void MetricsHub::RecordTimeoutResubmission() { ++timeout_resubmissions_; }
 
 void MetricsHub::RecordQueueFullRetry() { ++queue_full_retries_; }
+
+void MetricsHub::RecordWastedWork(TimeNs span) {
+  FoldOutcome(Outcome::kWastedWork, 0, 0, span);
+  wasted_busy_ += span;
+}
 
 void MetricsHub::RecordBusyInterval(TimeNs start, TimeNs end, size_t cores) {
   // Clamp the busy interval to the measurement window.

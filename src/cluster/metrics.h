@@ -92,7 +92,7 @@ class MetricsHub {
   void RecordCancellation() { ++cancellations_; }
   // Executor time burnt on a replica whose task had already executed once
   // (hedge losers and timeout-resubmission duplicates).
-  void RecordWastedWork(TimeNs span) { wasted_busy_ += span; }
+  void RecordWastedWork(TimeNs span);
 
   // --- Results --------------------------------------------------------------
 
@@ -148,7 +148,20 @@ class MetricsHub {
   // Completed tasks per second of measurement window.
   double CompletionThroughput() const;
 
+  // An order-independent 64-bit digest of the run's outcome: every first
+  // assignment (task id, time), first completion at a client (task id,
+  // attempt, time), finished execution (worker node, time) and wasted
+  // execution (span), whether or not it falls inside the measurement window.
+  // Runs that reach the same outcomes agree on it even when same-instant
+  // events run in another order; any moved timestamp changes it.
+  uint64_t outcome_fingerprint() const { return outcome_fingerprint_; }
+
  private:
+  enum class Outcome : uint64_t { kAssignment = 1, kCompletion, kNodeCompletion, kWastedWork };
+  // Adds one outcome record to outcome_fingerprint_. Records are mixed
+  // one by one and summed, so the digest does not depend on their order.
+  void FoldOutcome(Outcome kind, uint64_t a, uint64_t b, TimeNs at);
+
   TimeNs measure_start_;
   TimeNs measure_end_;
 
@@ -183,6 +196,7 @@ class MetricsHub {
   uint64_t hedge_wins_ = 0;
   uint64_t cancellations_ = 0;
   TimeNs wasted_busy_ = 0;
+  uint64_t outcome_fingerprint_ = 0;
 };
 
 }  // namespace draconis::cluster

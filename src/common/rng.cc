@@ -8,10 +8,7 @@ namespace draconis {
 
 uint64_t Rng::NextU64() {
   state_ += kGamma;
-  uint64_t z = state_;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
+  return MixBits(state_);
 }
 
 double Rng::NextDouble() {

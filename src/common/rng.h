@@ -13,6 +13,15 @@
 
 namespace draconis {
 
+// The SplitMix64 output finalizer: a bijective 64-bit mix in which every
+// input bit affects every output bit. Rng draws through it, and run
+// fingerprints (sim::Simulator, cluster::MetricsHub) fold values with it.
+constexpr uint64_t MixBits(uint64_t z) {
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
 class Rng {
  public:
   explicit Rng(uint64_t seed) : state_(seed + kGamma) {}

@@ -137,6 +137,25 @@ cluster::ExperimentConfig Fig05aMiniConfig() {
   return config;
 }
 
+// Whole-run fingerprints (cluster::ExperimentResult), pinned next to the
+// readable numbers of each golden row: `order` folds every executed event's
+// (at, seq), `outcome` digests every assignment, completion and wasted
+// execution. The percentile pins are bucket edges; these catch a timestamp
+// that moves inside a bucket.
+struct Fingerprints {
+  uint64_t order;
+  uint64_t outcome;
+};
+
+void ExpectFingerprints(const cluster::ExperimentResult& result, const Fingerprints& want) {
+  EXPECT_EQ(result.order_fingerprint, want.order)
+      << std::hex << "order fingerprint 0x" << result.order_fingerprint;
+  EXPECT_EQ(result.outcome_fingerprint, want.outcome)
+      << std::hex << "outcome fingerprint 0x" << result.outcome_fingerprint;
+}
+
+constexpr Fingerprints kFig05aFingerprints = {0x09d77180cef62576, 0x73358b32d7168af1};
+
 TEST(DeterminismTest, Fig05aShapedRunIsBitIdentical) {
   cluster::ExperimentResult a = RunExperiment(Fig05aMiniConfig());
   cluster::ExperimentResult b = RunExperiment(Fig05aMiniConfig());
@@ -154,6 +173,10 @@ TEST(DeterminismTest, Fig05aShapedRunIsBitIdentical) {
   EXPECT_EQ(a.switch_counters.passes, b.switch_counters.passes);
   EXPECT_EQ(a.counters.tasks_assigned, b.counters.tasks_assigned);
   EXPECT_EQ(a.counters.noops_sent, b.counters.noops_sent);
+  EXPECT_EQ(a.events_executed, b.events_executed);
+  EXPECT_GT(a.events_executed, 0u);
+  ExpectFingerprints(a, kFig05aFingerprints);
+  ExpectFingerprints(b, kFig05aFingerprints);
 }
 
 // Pinned goldens: the Fig. 5a mini run, per scheduler kind, against numbers
@@ -171,18 +194,23 @@ struct SchedulerGolden {
   TimeNs e2e_p50;
   TimeNs e2e_p99;
   double throughput_tps;
+  Fingerprints fingerprints;
 };
 
 TEST(DeterminismTest, PinnedGoldensPerSchedulerKind) {
   const SchedulerGolden goldens[] = {
-      {cluster::SchedulerKind::kDraconis, 130, 7679, 366517, 516095, 869596, 10000.0},
+      {cluster::SchedulerKind::kDraconis, 130, 7679, 366517, 516095, 869596, 10000.0,
+       kFig05aFingerprints},
       {cluster::SchedulerKind::kDraconisDpdkServer, 130, 13823, 18132, 523919, 523919,
-       10000.0},
+       10000.0, {0x9f44999b4067f865, 0x24437a29e1a96e8e}},
       {cluster::SchedulerKind::kDraconisSocketServer, 130, 31231, 44031, 557055, 557055,
-       10000.0},
-      {cluster::SchedulerKind::kR2P2, 130, 507903, 1004785, 1015807, 1507327, 10000.0},
-      {cluster::SchedulerKind::kRackSched, 130, 7551, 369897, 516095, 872611, 10000.0},
-      {cluster::SchedulerKind::kSparrow, 130, 24063, 393215, 540671, 899701, 10000.0},
+       10000.0, {0x5ad6740891e5c540, 0x95c047b30e25ff8a}},
+      {cluster::SchedulerKind::kR2P2, 130, 507903, 1004785, 1015807, 1507327, 10000.0,
+       {0x7c7a5636636ac9f6, 0x65f04f0393eafe2a}},
+      {cluster::SchedulerKind::kRackSched, 130, 7551, 369897, 516095, 872611, 10000.0,
+       {0x48f6533ba2bc6ce4, 0x0582bbf2360d9646}},
+      {cluster::SchedulerKind::kSparrow, 130, 24063, 393215, 540671, 899701, 10000.0,
+       {0x8dc0460f4d58794a, 0x83ef77bc93a3f256}},
   };
   // The same table must hold on every queue backend — the goldens pin the
   // (at, seq) contract, not one queue implementation.
@@ -200,6 +228,7 @@ TEST(DeterminismTest, PinnedGoldensPerSchedulerKind) {
       EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.50), golden.e2e_p50);
       EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.99), golden.e2e_p99);
       EXPECT_DOUBLE_EQ(result.throughput_tps, golden.throughput_tps);
+      ExpectFingerprints(result, golden.fingerprints);
     }
   }
 }
@@ -219,13 +248,17 @@ TEST(DeterminismTest, PinnedGoldensPerIntraNodeDispatcher) {
   using baselines::IntraNodePolicy;
   using cluster::SchedulerKind;
   const IntraNodeGolden goldens[] = {
-      {{SchedulerKind::kMalcolm, 130, 7551, 369681, 516095, 872395, 10000.0},
+      {{SchedulerKind::kMalcolm, 130, 7551, 369681, 516095, 872395, 10000.0,
+        {0x5b0f5bae540c459b, 0x0ce4f0f6ab733871}},
        IntraNodePolicy::kFcfs, false},
-      {{SchedulerKind::kRackSched, 130, 7551, 8191, 516095, 689769, 10000.0},
+      {{SchedulerKind::kRackSched, 130, 7551, 8191, 516095, 689769, 10000.0,
+        {0x9f84f48259952906, 0x29b25b13125c051b}},
        IntraNodePolicy::kProcessorSharing, false},
-      {{SchedulerKind::kRackSched, 330, 155647, 2359295, 671743, 2818047, 25384.615384615387},
+      {{SchedulerKind::kRackSched, 330, 155647, 2359295, 671743, 2818047, 25384.615384615387,
+        {0x56ceb7d60cd47ac7, 0x6bbc524b065819a8}},
        IntraNodePolicy::kEdf, true},
-      {{SchedulerKind::kRackSched, 330, 221183, 1998847, 737279, 2490367, 25384.615384615387},
+      {{SchedulerKind::kRackSched, 330, 221183, 1998847, 737279, 2490367, 25384.615384615387,
+        {0x3eae741a9b2f3612, 0x7be0b10214ea9ae2}},
        IntraNodePolicy::kFcfs, true},
   };
   for (sim::QueueBackend backend : names::Values<sim::QueueBackend>()) {
@@ -250,6 +283,7 @@ TEST(DeterminismTest, PinnedGoldensPerIntraNodeDispatcher) {
       EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.50), golden.e2e_p50);
       EXPECT_EQ(result.metrics->e2e_delay().Percentile(0.99), golden.e2e_p99);
       EXPECT_DOUBLE_EQ(result.throughput_tps, golden.throughput_tps);
+      ExpectFingerprints(result, golden.fingerprints);
     }
   }
 }
@@ -481,6 +515,11 @@ TEST(DeterminismTest, FailoverRunIsBitIdentical) {
   EXPECT_EQ(a.recovery.executor_rehomes, b.recovery.executor_rehomes);
   EXPECT_EQ(a.recovery.packets_dropped, b.recovery.packets_dropped);
   EXPECT_EQ(a.counters.failovers, b.counters.failovers);
+  // Pinned like the golden tables above: the disconnect re-checks, standby
+  // build and rehoming replay exactly across commits.
+  constexpr Fingerprints kFailoverFingerprints = {0x80c2b3490ecedee0, 0x42e8fff028a4e2a9};
+  ExpectFingerprints(a, kFailoverFingerprints);
+  ExpectFingerprints(b, kFailoverFingerprints);
 }
 
 // The multi-rack degenerate case (docs/topology.md): a 1-rack ClusterTopology
@@ -527,6 +566,7 @@ TEST(DeterminismTest, LocalityRunMatchesPin) {
   EXPECT_EQ(m.placements(net::TaskInfo::Placement::kRemote), 198u);
   EXPECT_EQ(m.e2e_delay().Percentile(0.50), 233471);
   EXPECT_EQ(m.e2e_delay().Percentile(0.99), 1146879);
+  ExpectFingerprints(result, {0xafd84a0840bb8d46, 0xe2f2ec29ae093a37});
 }
 
 // Captured from a known-good build of the 2-rack mini run below; update only
@@ -534,6 +574,7 @@ TEST(DeterminismTest, LocalityRunMatchesPin) {
 constexpr uint64_t kTwoRackGoldenCompletions = 130;
 constexpr TimeNs kTwoRackGoldenSchedP50 = 7679;
 constexpr TimeNs kTwoRackGoldenE2eP99 = 516095;
+constexpr Fingerprints kTwoRackGoldenFingerprints = {0x0e005d117019f8aa, 0x3d6ac78d337d0643};
 
 cluster::ExperimentConfig TwoRackMiniConfig() {
   cluster::ExperimentConfig config = Fig05aMiniConfig();
@@ -575,6 +616,8 @@ TEST(DeterminismTest, TwoRackRunReplaysBitIdenticallyAndMatchesPin) {
   EXPECT_EQ(a.metrics->tasks_completed(), kTwoRackGoldenCompletions);
   EXPECT_EQ(a.metrics->sched_delay().Percentile(0.50), kTwoRackGoldenSchedP50);
   EXPECT_EQ(a.metrics->e2e_delay().Percentile(0.99), kTwoRackGoldenE2eP99);
+  ExpectFingerprints(a, kTwoRackGoldenFingerprints);
+  ExpectFingerprints(b, kTwoRackGoldenFingerprints);
 }
 
 // §3.3 failover on a 2-rack topology: rack 0's ToR fails and its standby is
