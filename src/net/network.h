@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "net/packet.h"
+#include "net/packet_pool.h"
 #include "sim/simulator.h"
 #include "trace/recorder.h"
 
@@ -142,6 +143,9 @@ class Network {
     bool is_switch = false;  // hop accounting (MarkSwitch)
   };
 
+  // The two delivery events of a sent packet parked in pool_.
+  void ArriveAtNic(uint32_t slot);
+  void HandOff(uint32_t slot);
   void RecordNetDrops(const Packet& pkt);
 
   sim::Simulator* simulator_;
@@ -153,6 +157,7 @@ class Network {
   std::vector<uint32_t> rack_of_;    // parallel to hosts_; all 0 by default
   std::vector<TimeNs> uplink_busy_;  // per-rack aggregation uplink server
   std::unordered_map<uint64_t, double> drop_rules_;  // (from << 32 | to) -> p
+  PacketPool pool_;  // packets between Send and hand-off
   TimeNs latency_penalty_ = 0;
   uint64_t packets_delivered_ = 0;
   uint64_t packets_dropped_ = 0;
