@@ -1,5 +1,8 @@
 #include "dag/dag_flags.h"
 
+#include <cstdint>
+#include <string>
+
 namespace draconis::dag {
 
 void DagFlags::Register(flags::Parser* parser) {
@@ -33,6 +36,12 @@ bool DagFlags::Apply(DagWorkloadSpec* spec, HedgePolicy* policy, std::string* er
   }
   if (depth < 1 || width < 1) {
     *error = "--dag-depth and --dag-width must be >= 1";
+    return false;
+  }
+  // The spec holds 32-bit sizes; a larger value would silently wrap.
+  if (depth > UINT32_MAX || width > UINT32_MAX) {
+    *error = std::string(depth > UINT32_MAX ? "--dag-depth" : "--dag-width") +
+             " must be at most " + std::to_string(UINT32_MAX);
     return false;
   }
   spec->depth = static_cast<uint32_t>(depth);
