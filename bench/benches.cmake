@@ -61,3 +61,16 @@ draconis_add_bench(micro_sim)
 
 # Tracing-overhead bench; emits BENCH_trace.json (see docs/observability.md).
 draconis_add_bench(micro_trace)
+
+# An out-of-range --heavy-tail-* value is rejected even when no other
+# workload override is given.
+add_test(NAME bench_rejects_negative_heavy_tail_prob
+         COMMAND fig05a_latency_500us --progress=false --heavy-tail-prob=-0.5)
+add_test(NAME bench_rejects_negative_heavy_tail_mult
+         COMMAND fig05a_latency_500us --progress=false --heavy-tail-mult=-1)
+set_tests_properties(bench_rejects_negative_heavy_tail_prob PROPERTIES
+                     ENVIRONMENT DRACONIS_BENCH_QUICK=1
+                     PASS_REGULAR_EXPRESSION "--heavy-tail-prob must be in")
+set_tests_properties(bench_rejects_negative_heavy_tail_mult PROPERTIES
+                     ENVIRONMENT DRACONIS_BENCH_QUICK=1
+                     PASS_REGULAR_EXPRESSION "--heavy-tail-mult must be > 0")

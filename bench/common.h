@@ -273,11 +273,14 @@ class SweepRunner {
       std::fprintf(stderr, "--service-time: %s\n", error.c_str());
       std::exit(2);
     }
-    const bool workload_overrides = arrival != workload::ArrivalKind::kNone ||
-                                    !service_time_override_.empty() || heavy_tail_prob_ > 0.0;
-    if (workload_overrides &&
-        (heavy_tail_prob_ < 0.0 || heavy_tail_prob_ > 1.0 || heavy_tail_mult_ <= 0.0)) {
-      std::fprintf(stderr, "--heavy-tail-prob must be in [0, 1] and --heavy-tail-mult > 0\n");
+    // Checked whether or not another override is active: an out-of-range
+    // value is an error, not a silent no-op.
+    if (!(heavy_tail_prob_ >= 0.0 && heavy_tail_prob_ <= 1.0)) {  // NaN fails too
+      std::fprintf(stderr, "--heavy-tail-prob must be in [0, 1]\n");
+      std::exit(2);
+    }
+    if (!(heavy_tail_mult_ > 0.0)) {
+      std::fprintf(stderr, "--heavy-tail-mult must be > 0\n");
       std::exit(2);
     }
     sim::QueueBackend backend = sim::kDefaultQueueBackend;
