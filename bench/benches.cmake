@@ -74,3 +74,11 @@ set_tests_properties(bench_rejects_negative_heavy_tail_prob PROPERTIES
 set_tests_properties(bench_rejects_negative_heavy_tail_mult PROPERTIES
                      ENVIRONMENT DRACONIS_BENCH_QUICK=1
                      PASS_REGULAR_EXPRESSION "--heavy-tail-mult must be > 0")
+
+# A --horizon whose nanosecond count does not fit in 64 bits is rejected
+# instead of wrapping to a negative horizon.
+add_test(NAME bench_rejects_overflowing_horizon
+         COMMAND fig05a_latency_500us --progress=false --horizon=1e10s)
+set_tests_properties(bench_rejects_overflowing_horizon PROPERTIES
+                     ENVIRONMENT DRACONIS_BENCH_QUICK=1
+                     PASS_REGULAR_EXPRESSION "bad value for --horizon: '1e10s'")

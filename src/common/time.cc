@@ -49,7 +49,13 @@ bool ParseDuration(const std::string& text, TimeNs* out) {
   } else {
     return false;
   }
-  *out = static_cast<TimeNs>(value * scale);
+  // 2^63 ns (about 292 years) and beyond does not fit in TimeNs; casting it
+  // would be undefined and in practice wraps to a negative duration.
+  const double ns = value * scale;
+  if (ns >= 9223372036854775808.0) {
+    return false;
+  }
+  *out = static_cast<TimeNs>(ns);
   return true;
 }
 

@@ -228,6 +228,20 @@ TEST(ParseDurationTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseDuration("-5ms", &out));     // durations are non-negative
 }
 
+TEST(ParseDurationTest, RejectsValuesThatOverflowNanoseconds) {
+  TimeNs out = 7;
+  EXPECT_FALSE(ParseDuration("1e10s", &out));     // 10^19 ns
+  EXPECT_FALSE(ParseDuration("9.3e18ns", &out));  // just past 2^63 ns
+  EXPECT_FALSE(ParseDuration("1e300s", &out));
+  EXPECT_FALSE(ParseDuration("9223372036854775808ns", &out));  // exactly 2^63
+  EXPECT_EQ(out, 7);  // untouched on rejection
+  // Just under the limit still parses, exactly.
+  ASSERT_TRUE(ParseDuration("9.2e18ns", &out));
+  EXPECT_EQ(out, TimeNs{9'200'000'000'000'000'000});
+  ASSERT_TRUE(ParseDuration("9e9s", &out));
+  EXPECT_EQ(out, TimeNs{9'000'000'000'000'000'000});
+}
+
 TEST(ParseDurationTest, RoundTripsFormatDuration) {
   for (TimeNs value : {TimeNs{250}, FromMicros(500), FromMillis(40), FromSeconds(3)}) {
     TimeNs out = 0;
