@@ -1,5 +1,7 @@
 #include "sweep/report.h"
 
+#include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 
 #include "baselines/intra_node_policy.h"
@@ -46,6 +48,14 @@ void WriteCounters(json::Writer& w, const cluster::SchedulerCounters& c) {
   w.EndObject();
 }
 
+// Fingerprints are written as "0x" + 16 hex digits: readers that parse JSON
+// numbers as doubles would lose the bits above 2^53.
+std::string HexWord(uint64_t value) {
+  char buf[19];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, value);
+  return buf;
+}
+
 void WriteResultBody(json::Writer& w, const cluster::ExperimentResult& result) {
   w.Key("offered_tasks_per_second").Double(result.offered_tasks_per_second);
   w.Key("offered_utilization").Double(result.offered_utilization);
@@ -55,6 +65,9 @@ void WriteResultBody(json::Writer& w, const cluster::ExperimentResult& result) {
   w.Key("drop_fraction").Double(result.drop_fraction);
   w.Key("recirc_drops").UInt(result.recirc_drops);
   w.Key("drain_time_ns").Int(result.drain_time);
+  w.Key("events_executed").UInt(result.events_executed);
+  w.Key("order_fingerprint").String(HexWord(result.order_fingerprint));
+  w.Key("outcome_fingerprint").String(HexWord(result.outcome_fingerprint));
   if (result.metrics != nullptr) {
     const cluster::MetricsHub& m = *result.metrics;
     w.Key("tasks_submitted").UInt(m.tasks_submitted());

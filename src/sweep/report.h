@@ -16,6 +16,9 @@
 //         "throughput_tps": ..., "executor_busy_fraction": ...,
 //         "recirculation_share": ..., "drop_fraction": ...,
 //         "recirc_drops": ..., "drain_time_ns": ...,
+//         "events_executed": N,
+//         "order_fingerprint": "0x<16 hex digits>",
+//         "outcome_fingerprint": "0x<16 hex digits>",
 //         "tasks_submitted": ..., "tasks_completed": ...,
 //         "sched_delay": {histogram}, "queueing_delay": {histogram},
 //         "e2e_delay": {histogram}, "get_task_delay": {histogram},
@@ -26,7 +29,10 @@
 //   }
 // Histogram objects are stats::Histogram::ToJson(): {"count", "mean_ns",
 // "min_ns", "max_ns", "p50_ns", "p90_ns", "p95_ns", "p99_ns", "p999_ns"}
-// (quantiles omitted when count is 0).
+// (quantiles omitted when count is 0). The fingerprints are
+// cluster::ExperimentResult's whole-run fingerprints, written as hex strings
+// because a reader that parses JSON numbers as doubles loses the bits above
+// 2^53.
 
 #ifndef DRACONIS_SWEEP_REPORT_H_
 #define DRACONIS_SWEEP_REPORT_H_

@@ -223,6 +223,10 @@ TEST(SweepReportTest, GoldenDocument) {
     result.throughput_tps = 998.5;
     result.executor_busy_fraction = 0.125;
     result.drain_time = 123456;
+    result.events_executed = 987654321;
+    // Above 2^53, where a double would round it.
+    result.order_fingerprint = 0xfedcba9876543210ULL;
+    result.outcome_fingerprint = 0xff;
     result.counters.tasks_assigned = 42;
     return result;
   };
@@ -260,6 +264,9 @@ TEST(SweepReportTest, GoldenDocument) {
       "drop_fraction": 0,
       "recirc_drops": 0,
       "drain_time_ns": 123456,
+      "events_executed": 987654321,
+      "order_fingerprint": "0xfedcba9876543210",
+      "outcome_fingerprint": "0x00000000000000ff",
       "counters": {
         "tasks_enqueued": 0,
         "tasks_assigned": 42,
