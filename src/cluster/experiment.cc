@@ -326,6 +326,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config, WorkloadDriver& d
   simulator.RunUntil(horizon + config.drain_margin);
   result.events_executed = simulator.executed_events();
   result.order_fingerprint = simulator.order_fingerprint();
+  result.discarded_keys = simulator.discarded_keys();
 
   if (testbed.recorder() != nullptr) {
     testbed.recorder()->FinalizeAt(simulator.Now());

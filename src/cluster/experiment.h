@@ -228,13 +228,16 @@ struct ExperimentResult {
   double executor_busy_fraction = 0.0;
   TimeNs drain_time = -1;  // when the last task completed (run_to_completion)
 
-  // Whole-run fingerprints (not in the sweep JSON). A change that only
-  // moves host cost keeps both; one that restructures events may move the
-  // order fingerprint but must keep the outcome fingerprint; any change to
-  // the outcome fingerprint changes a simulated number.
+  // Whole-run fingerprints (in the sweep JSON). A change that only moves
+  // host cost keeps both; one that restructures events may move the order
+  // fingerprint but must keep the outcome fingerprint; any change to the
+  // outcome fingerprint changes a simulated number.
   uint64_t events_executed = 0;      // sim::Simulator::executed_events()
   uint64_t order_fingerprint = 0;    // sim::Simulator::order_fingerprint()
   uint64_t outcome_fingerprint = 0;  // MetricsHub::outcome_fingerprint()
+  // Queue keys popped without running an event (host cost, not a simulated
+  // number; not in the sweep JSON).
+  uint64_t discarded_keys = 0;       // sim::Simulator::discarded_keys()
 
   // Multi-rack topology results; num_racks stays 0 for legacy single-switch
   // runs (the sweep JSON emits the block only when it is set).

@@ -71,6 +71,9 @@ inline names::Table<QueueBackend> NameTable(QueueBackend) {
 
 // Orders EventKeys for the simulator. Push and PopTop may interleave freely;
 // PeekTop may reorganize internal storage but never changes the pop order.
+// A pushed key never orders before the last popped one, but it may carry an
+// older seq than keys already queued at its instant: the simulator re-pushes
+// a timer's deferred occurrence under the seq it was armed with.
 // Keys are opaque: a backend must not inspect `slot` or drop keys (the
 // simulator cancels lazily, by letting a stale key surface and discarding
 // it, so every pushed key must eventually pop).

@@ -14,6 +14,11 @@ TimeNs SaturatingAdd(TimeNs base, TimeNs delta) {
 
 }  // namespace
 
+void LadderQueue::InsertSorted(std::vector<EventKey>& bucket, EventKey key) {
+  bucket.insert(
+      std::upper_bound(bucket.begin(), bucket.end(), key, EventKeyBefore), key);
+}
+
 void LadderQueue::PushTop(EventKey key) {
   if (top_.empty()) {
     top_min_ = top_max_ = key.at;
@@ -98,8 +103,8 @@ bool LadderQueue::EnsureBottom() {
         bottom_end_ = SaturatingAdd(
             rung.start, static_cast<TimeNs>(next + 1) << rung.width_log2);
       }
-      // 1 ns buckets are sorted by construction (ascending seq within one
-      // instant, ascending time across the gathered run) — see kWheelSpan.
+      // 1 ns buckets are kept sorted by seq (AppendTo), and the gathered
+      // run ascends in time, so the batch is already in order.
       if (rung.width_log2 != 0) {
         std::sort(bottom_.begin(), bottom_.end(), EventKeyBefore);
       }
@@ -117,8 +122,7 @@ bool LadderQueue::EnsureBottom() {
 void LadderQueue::SpawnRung(TimeNs start, int parent_width_log2) {
   // Parents within the wheel span whose keys are dense enough (the drain
   // walks every empty slot, so >= 1 key per 16 slots) skip the
-  // intermediate levels and go straight to sorted-by-construction 1 ns
-  // buckets.
+  // intermediate levels and go straight to 1 ns buckets, which never sort.
   int width_log2;
   if (parent_width_log2 <= kRungBucketsLog2) {
     width_log2 = 0;
@@ -145,9 +149,12 @@ void LadderQueue::SpawnRung(TimeNs start, int parent_width_log2) {
   }
   // Buckets past nbuckets may survive from the pooled rung's previous life;
   // they are empty, and cur never reaches them while count > 0.
+  // The parent bucket was unsorted, so keys of one instant may arrive out
+  // of seq order; AppendTo keeps 1 ns buckets sorted.
+  const bool one_instant = width_log2 == 0;
   for (const EventKey& key : spread_scratch_) {
-    rung.buckets[static_cast<size_t>(key.at - start) >> width_log2].push_back(
-        key);
+    AppendTo(rung.buckets[static_cast<size_t>(key.at - start) >> width_log2],
+             key, one_instant);
   }
   spread_scratch_.clear();
 }
@@ -199,9 +206,10 @@ void LadderQueue::SpreadTop() {
   if (rung.buckets.size() < nbuckets) {
     rung.buckets.resize(nbuckets);
   }
+  const bool one_instant = width_log2 == 0;
   for (const EventKey& key : top_) {
-    rung.buckets[static_cast<size_t>(key.at - top_min_) >> width_log2]
-        .push_back(key);
+    AppendTo(rung.buckets[static_cast<size_t>(key.at - top_min_) >> width_log2],
+             key, one_instant);
   }
   top_.clear();
   bottom_end_ = top_min_;

@@ -28,11 +28,14 @@
 // O(log_B(span)) ~ 2-3 times in total.
 //
 // Timer-wheel fast path: dense spans up to kWheelSpan spread straight into
-// 1 ns-per-slot buckets. Every append source — direct pushes, bucket
-// re-spreads, top spreads — delivers keys in ascending seq, so a 1 ns slot
-// is sorted by construction and its drain path never calls sort. This is
-// the common case for the sub-microsecond re-arm horizons (network hops,
-// executor pulls) that dominate simulation runs.
+// 1 ns-per-slot buckets — the common case for the sub-microsecond re-arm
+// horizons (network hops, executor pulls) that dominate simulation runs. A
+// 1 ns slot holds a single instant and is kept sorted by seq as keys
+// arrive, so its drain path never calls sort. Nearly every key arrives in
+// ascending seq and appends; the exception is a timer's deferred key
+// (simulator.h), re-pushed under the older seq it was armed with, which
+// binary-searches into place (AppendTo). Coarse buckets take plain appends
+// and are sorted when drained.
 //
 // Ordering is bit-identical to the heap backend: buckets partition time, the
 // batch sort and the bottom insertion both use the (at, seq) contract, so
@@ -81,9 +84,9 @@ class LadderQueue final : public EventQueue {
     for (size_t r = depth_; r-- > 0;) {
       Rung& rung = rungs_[r];
       if (key.at < rung.end) {
-        rung.buckets[static_cast<size_t>(key.at - rung.start) >>
-                     rung.width_log2]
-            .push_back(key);
+        AppendTo(rung.buckets[static_cast<size_t>(key.at - rung.start) >>
+                              rung.width_log2],
+                 key, rung.width_log2 == 0);
         ++rung.count;
         return;
       }
@@ -126,11 +129,7 @@ class LadderQueue final : public EventQueue {
   // instead of re-transiting the top every epoch.
   static constexpr TimeNs kCoverageFactor = 4;
   // Spans up to this go straight to a 1 ns-per-bucket timer wheel instead
-  // of a coarse rung. A 1 ns bucket only ever receives keys in ascending
-  // seq (pushes, bucket spreads, and top spreads all append in global
-  // scheduling order), so wheel buckets are sorted by construction and the
-  // drain path never sorts at all — the fast path for the sub-microsecond
-  // re-arm horizons (network hops, executor pulls) that dominate runs.
+  // of a coarse rung (see the file comment).
   static constexpr int kWheelSpanLog2 = 12;
   static constexpr TimeNs kWheelSpan = TimeNs{1} << kWheelSpanLog2;
 
@@ -143,6 +142,20 @@ class LadderQueue final : public EventQueue {
     std::vector<std::vector<EventKey>> buckets;
   };
 
+  // Appends `key` to a bucket. A 1 ns bucket (`one_instant`) stays sorted
+  // by seq: a key older than its back — a timer's deferred key — is
+  // inserted in place. Other buckets are sorted when drained.
+  static void AppendTo(std::vector<EventKey>& bucket, EventKey key,
+                       bool one_instant) {
+    if (one_instant && !bucket.empty() && key.seq < bucket.back().seq) {
+      InsertSorted(bucket, key);
+      return;
+    }
+    bucket.push_back(key);
+  }
+  // The rare branch of AppendTo, out of line so Push stays small where it
+  // inlines.
+  static void InsertSorted(std::vector<EventKey>& bucket, EventKey key);
   // Far-future fallback of Push: appends to the top and tracks its span.
   void PushTop(EventKey key);
   // Refills the drained bottom from the rungs/top. Returns false when the

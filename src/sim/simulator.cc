@@ -62,7 +62,12 @@ uint64_t Simulator::RunLoop(Queue& queue, bool bounded, TimeNs until) {
     }
     queue.PopTop();
     if (gens_[key.slot] != key.seq + 1) {
-      continue;  // cancelled, or a re-armed timer superseded this key
+      // Cancelled, or a re-arm or Cancel() superseded this timer key.
+      ++discarded_keys_;
+      if (Timer* timer = payloads_[key.slot].timer; timer != nullptr) {
+        CarryDeadline(*timer, key.seq);
+      }
+      continue;
     }
     gens_[key.slot] = 0;
     --live_;
@@ -78,6 +83,9 @@ uint64_t Simulator::RunLoop(Queue& queue, bool bounded, TimeNs until) {
       // and may re-arm it. Don't touch the slot after the call — the closure
       // may schedule events and grow the slab.
       Timer* timer = p.timer;
+      if (timer->num_queued_ > 0 && timer->top().seq == key.seq) {
+        timer->PopQueued();
+      }
       timer->fn_();
     } else {
       std::function<void()> fn = std::move(p.fn);
@@ -92,6 +100,28 @@ uint64_t Simulator::RunLoop(Queue& queue, bool bounded, TimeNs until) {
     now_ = until;
   }
   return ran;
+}
+
+void Simulator::CarryDeadline(Timer& timer, uint64_t stale_seq) {
+  // A key that is not the top is an orphan: its timer was destroyed (the
+  // slot now belongs to someone else) or forgot it when its stack was full.
+  if (timer.num_queued_ == 0 || timer.top().seq != stale_seq) {
+    return;
+  }
+  timer.PopQueued();
+  const uint64_t gen = gens_[timer.slot_];
+  if (gen == 0) {
+    return;  // disarmed
+  }
+  if (timer.num_queued_ > 0 && timer.top().at <= timer.deadline_) {
+    return;  // the next queued key surfaces first and carries the deadline
+  }
+  // Armed, and the live occurrence was deferred behind the key that just
+  // surfaced (otherwise its own key would have been the top). Its deadline
+  // is at or after that key, so the re-push lands ahead of the queue's
+  // drain point, under the seq the occurrence was armed with.
+  timer.PushQueued(timer.deadline_, gen - 1);
+  QueuePush(EventKey{timer.deadline_, gen - 1, timer.slot_});
 }
 
 uint64_t Simulator::Run(bool bounded, TimeNs until) {
@@ -112,11 +142,11 @@ void Simulator::Clear() {
     heap_.Clear();
   }
   for (uint32_t slot = 0; slot < gens_.size(); ++slot) {
-    if (gens_[slot] == 0) {
-      continue;
-    }
-    gens_[slot] = 0;
-    if (payloads_[slot].timer == nullptr) {
+    if (Timer* timer = payloads_[slot].timer; timer != nullptr) {
+      // Disarmed timers may still have keys queued; they are gone now.
+      timer->num_queued_ = 0;
+      gens_[slot] = 0;
+    } else if (gens_[slot] != 0) {
       FreeSlot(slot);
     }
   }

@@ -16,8 +16,10 @@
 // The fire-and-forget default is the zero-overhead path; passing
 // `kCancellable` opts into a handle. `Timer` is the reusable-event path for
 // high-frequency periodic callers (executor pull loops and the like): the
-// callback is stored once and re-arming costs one queue push — no
-// per-occurrence allocation at all.
+// callback is stored once and re-arming costs at most one queue push — no
+// per-occurrence allocation at all. A re-arm to a later deadline pushes
+// nothing when the timer already has an earlier key queued; that key
+// carries the deadline forward when it surfaces (see Timer).
 //
 // Engine layout:
 //  - Slots live in a free-listed slab split into a hot generation array
@@ -34,7 +36,8 @@
 //    plus the generation the slot had when the event was scheduled. A
 //    cancelled or fired slot bumps to a new generation on reuse, so a stale
 //    handle can never touch the slot's next occupant. Cancelled events are
-//    dropped lazily when their queue key surfaces.
+//    dropped lazily when their queue key surfaces (counted by
+//    discarded_keys()).
 //
 // Handles and timers index into the simulator's slab and must not outlive
 // it (in practice they are members of objects that already hold the
@@ -106,6 +109,15 @@ class EventHandle {
 // which is what the highest-frequency periodic callers (executor pull
 // watchdogs, drain polls) want. The callback may re-arm its own timer.
 // Non-copyable and non-movable: the simulator holds a pointer to it.
+//
+// Deferred keys. Every arm takes a fresh seq, exactly like a one-shot
+// schedule, but pushes a queue key only when none of the timer's own keys
+// is already queued at or before the new deadline. Otherwise the earlier
+// key carries the deadline: when it surfaces stale, the run loop re-pushes
+// (deadline, live seq) — the very key an eager push would have queued, so
+// the occurrence fires at the same (at, seq) position. An idle executor's
+// poll cycle (1 ms watchdog, then a microsecond retry) thus queues one
+// watchdog key per millisecond instead of one per poll.
 class Timer {
  public:
   Timer() = default;
@@ -132,8 +144,38 @@ class Timer {
 
  private:
   friend class Simulator;
+
+  // One of this timer's keys still in the event queue.
+  struct QueuedKey {
+    TimeNs at = 0;
+    uint64_t seq = 0;
+  };
+  // Two entries cover the executor's watchdog-then-retry cycle. A third
+  // successively earlier arm forgets the latest entry; its key later
+  // surfaces as an orphan and is discarded like a cancelled one.
+  static constexpr uint8_t kMaxQueuedKeys = 2;
+
+  // Records a key just pushed for this timer as the new earliest one.
+  void PushQueued(TimeNs at, uint64_t seq) {
+    queued_[1] = queued_[0];  // a full stack forgets its latest entry
+    queued_[0] = QueuedKey{at, seq};
+    num_queued_ = num_queued_ < kMaxQueuedKeys ? num_queued_ + 1 : kMaxQueuedKeys;
+  }
+  // Drops the earliest queued key, which just surfaced.
+  void PopQueued() {
+    queued_[0] = queued_[1];
+    --num_queued_;
+  }
+  // The earliest queued key; only valid while num_queued_ > 0.
+  const QueuedKey& top() const { return queued_[0]; }
+
   Simulator* sim_ = nullptr;
   uint32_t slot_ = 0;
+  uint8_t num_queued_ = 0;
+  TimeNs deadline_ = 0;  // the armed occurrence's time, valid while pending()
+  // Queued keys, earliest first: the top is [0]. Strictly ascending in
+  // `at`, so they surface in stack order.
+  QueuedKey queued_[kMaxQueuedKeys];
   std::function<void()> fn_;
 };
 
@@ -182,6 +224,12 @@ class Simulator {
   // event and draws no random number.
   uint64_t order_fingerprint() const { return order_fingerprint_; }
 
+  // Queue keys popped without running an event: cancelled one-shots and
+  // timer keys superseded by a re-arm or a Cancel(). Host cost only — it
+  // does not enter either fingerprint — but deterministic per seed and
+  // equal on both backends.
+  uint64_t discarded_keys() const { return discarded_keys_; }
+
  private:
   friend class EventHandle;
   friend class Timer;
@@ -206,11 +254,16 @@ class Simulator {
   uint64_t Run(bool bounded, TimeNs until);
   template <typename Queue>
   uint64_t RunLoop(Queue& queue, bool bounded, TimeNs until);
+  // A superseded key of `timer` surfaced: if it was the timer's earliest
+  // queued key and nothing else queued reaches the armed deadline, re-push
+  // the live occurrence's key. Rare, and kept out of line: inlined with its
+  // queue push it tripled the run loop's code.
+  [[gnu::noinline]] void CarryDeadline(Timer& timer, uint64_t stale_seq);
 
   // Timer plumbing.
   uint32_t RegisterTimer(Timer* timer);
   void UnregisterTimer(const Timer& timer);
-  void ArmTimer(const Timer& timer, TimeNs at);
+  void ArmTimer(Timer& timer, TimeNs at);
   void DisarmTimer(const Timer& timer);
   bool TimerPending(const Timer& timer) const;
 
@@ -223,6 +276,7 @@ class Simulator {
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   uint64_t order_fingerprint_ = 0;
+  uint64_t discarded_keys_ = 0;
   size_t live_ = 0;
   uint32_t free_head_ = kNilSlot;
   // Hot: generation + liveness in one word per slot — `seq + 1` of the
@@ -295,14 +349,20 @@ inline EventHandle Simulator::ScheduleAfter(TimeNs delay,
 // Timer re-arm is the other per-event hot path (executor pull loops re-arm
 // from inside the callback), so it inlines the same way.
 
-inline void Simulator::ArmTimer(const Timer& timer, TimeNs at) {
+inline void Simulator::ArmTimer(Timer& timer, TimeNs at) {
   DRACONIS_CHECK_MSG(at >= now_, "cannot schedule an event in the past");
   if (gens_[timer.slot_] == 0) {
     ++live_;
   }
   const uint64_t seq = next_seq_++;
   gens_[timer.slot_] = seq + 1;  // any previously pushed key goes stale
-  QueuePush(EventKey{at, seq, timer.slot_});
+  timer.deadline_ = at;
+  // A queued key at or before `at` surfaces first and carries the deadline
+  // (CarryDeadline); only an earlier deadline needs a key of its own.
+  if (timer.num_queued_ == 0 || at < timer.top().at) {
+    timer.PushQueued(at, seq);
+    QueuePush(EventKey{at, seq, timer.slot_});
+  }
 }
 
 inline void Simulator::DisarmTimer(const Timer& timer) {
