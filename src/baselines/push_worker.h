@@ -21,7 +21,7 @@ namespace draconis::baselines {
 // of replication (docs/dag.md).
 inline void RecordPushedStart(cluster::MetricsHub& metrics, const net::TaskInfo& task,
                               TimeNs now, TimeNs exec_start, TimeNs occupancy) {
-  if (metrics.FirstExecution(task.id)) {
+  if (metrics.FirstExecution(task)) {
     metrics.RecordAssignment(task, now);
     metrics.RecordExecutionStart(task, exec_start);
   } else {

@@ -1,6 +1,7 @@
 #include "cluster/client.h"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "common/check.h"
@@ -14,6 +15,8 @@ Client::Client(Testbed* testbed, const ClientConfig& config)
       recorder_(testbed->recorder()),
       config_(config) {
   DRACONIS_CHECK(metrics_ != nullptr);
+  DRACONIS_CHECK_MSG(config_.timeout_floor > 0, "a zero timeout re-arms without advancing time");
+  DRACONIS_CHECK(config_.timeout_multiplier >= 0 && std::isfinite(config_.timeout_multiplier));
   if (config_.max_tasks_per_packet == 0) {
     config_.max_tasks_per_packet = net::MaxTasksPerPacket();
   }
@@ -44,7 +47,7 @@ uint32_t Client::SubmitJob(const std::vector<TaskSpec>& specs) {
     task.meta.exec_duration = specs[i].duration;
     task.meta.first_submit_time = now;
     task.meta.submit_time = now;
-    metrics_->RecordSubmission(now);
+    metrics_->RecordSubmission(task);
     if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
       recorder_->Record(task.id, trace::Kind::kSubmit, now, now, specs.size(), node_id_);
     }
@@ -239,13 +242,18 @@ bool Client::CancelTask(net::TaskId id) {
 }
 
 TimeNs Client::TimeoutFor(const net::TaskInfo& task) const {
-  const auto scaled = static_cast<TimeNs>(config_.timeout_multiplier *
-                                          static_cast<double>(task.meta.exec_duration));
-  const TimeNs base = std::max(scaled, config_.timeout_floor);
+  // Timeouts saturate at 2^62 ns (about 146 years), past the end of any run,
+  // so a huge multiplier (1e9 stands for "never resubmit" in fig13) cannot
+  // wrap, and now + timeout still fits in TimeNs.
+  constexpr TimeNs kMaxTimeout = TimeNs{1} << 62;
+  const double scaled = config_.timeout_multiplier * static_cast<double>(task.meta.exec_duration);
+  const TimeNs base = scaled >= static_cast<double>(kMaxTimeout)
+                          ? kMaxTimeout
+                          : std::max(static_cast<TimeNs>(scaled), config_.timeout_floor);
   // Exponential backoff across resubmissions so a congested scheduler is not
   // fed an unbounded duplicate storm.
   const uint32_t shift = std::min<uint32_t>(task.meta.attempt, 6);
-  return base << shift;
+  return base > kMaxTimeout >> shift ? kMaxTimeout : base << shift;
 }
 
 void Client::ArmTimeout(const net::TaskInfo& task) {

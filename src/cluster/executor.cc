@@ -89,7 +89,7 @@ void Executor::RunTask(net::Packet assignment) {
   const TimeNs now = simulator_->Now();
   const bool in_window = now >= metrics_->measure_start() && now < metrics_->measure_end();
   // Duplicate executions (timeout resubmissions) run but are not measured.
-  const bool first = metrics_->FirstExecution(task.id);
+  const bool first = metrics_->FirstExecution(task);
 
   if (recorder_ != nullptr && recorder_->Sampled(task.id)) {
     const uint64_t wait =

@@ -1,6 +1,7 @@
 #include "cluster/experiment.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -51,6 +52,13 @@ std::string ExperimentConfig::Validate() const {
   }
   if (num_schedulers < 1) {
     return "num_schedulers must be >= 1";
+  }
+  if (timeout_floor <= 0) {
+    // A zero timeout re-arms at the same instant forever.
+    return "timeout_floor must be > 0";
+  }
+  if (!(timeout_multiplier >= 0) || !std::isfinite(timeout_multiplier)) {
+    return "timeout_multiplier must be finite and >= 0";
   }
 
   const DeploymentInfo& info = DeploymentRegistry::Get().Info(scheduler);

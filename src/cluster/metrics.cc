@@ -1,6 +1,7 @@
 #include "cluster/metrics.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.h"
 #include "common/rng.h"
@@ -21,6 +22,12 @@ MetricsHub::MetricsHub(TimeNs measure_start, TimeNs measure_end, size_t num_node
 
 namespace {
 uint64_t JobKey(const net::TaskId& id) { return static_cast<uint64_t>(id.uid) << 32 | id.jid; }
+
+// "<uid, jid, tid>", for check messages.
+std::string IdText(const net::TaskId& id) {
+  return "<" + std::to_string(id.uid) + ", " + std::to_string(id.jid) + ", " +
+         std::to_string(id.tid) + ">";
+}
 }  // namespace
 
 void MetricsHub::FoldOutcome(Outcome kind, uint64_t a, uint64_t b, TimeNs at) {
@@ -30,7 +37,23 @@ void MetricsHub::FoldOutcome(Outcome kind, uint64_t a, uint64_t b, TimeNs at) {
   outcome_fingerprint_ += MixBits(h ^ static_cast<uint64_t>(at));
 }
 
-bool MetricsHub::FirstExecution(const net::TaskId& id) { return executed_.insert(id).second; }
+bool MetricsHub::FirstExecution(const net::TaskInfo& task) {
+  const uint32_t ordinal = task.meta.ordinal;
+  DRACONIS_CHECK_MSG(ordinal < next_ordinal_,
+                     "task " + IdText(task.id) + " executed but never submitted");
+  uint64_t& word = execution_bits_[ordinal / 64];
+  const uint64_t bit = uint64_t{1} << (ordinal % 64);
+  const bool first = (word & bit) == 0;
+  word |= bit;
+  return first;
+}
+
+bool MetricsHub::FirstExecution(const net::TaskId& id) {
+  net::TaskInfo task;
+  task.id = id;  // first_submit_time stays -1: outside every window, not counted
+  RecordSubmission(task);
+  return FirstExecution(task);
+}
 
 void MetricsHub::RecordExecutionStart(const net::TaskInfo& task, TimeNs exec_start) {
   if (!InWindow(task.meta.first_submit_time)) {
@@ -125,8 +148,14 @@ TimeNs MetricsHub::UnavailabilityGap() const {
   return first_completion_after_fault_ - last_completion_before_fault_;
 }
 
-void MetricsHub::RecordSubmission(TimeNs first_submit) {
-  if (InWindow(first_submit)) {
+void MetricsHub::RecordSubmission(net::TaskInfo& task) {
+  DRACONIS_CHECK_MSG(next_ordinal_ < net::TaskInfo::kUnsubmitted,
+                     "more than 2^32 - 1 tasks submitted in one run");
+  if (next_ordinal_ % 64 == 0) {
+    execution_bits_.push_back(0);
+  }
+  task.meta.ordinal = next_ordinal_++;
+  if (InWindow(task.meta.first_submit_time)) {
     ++tasks_submitted_;
   }
 }

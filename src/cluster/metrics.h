@@ -9,7 +9,6 @@
 #define DRACONIS_CLUSTER_METRICS_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/time.h"
@@ -36,9 +35,17 @@ class MetricsHub {
 
   // --- Recording (no-ops when the task is outside the window) --------------
 
-  // True the first time a task id reaches an executor. Timeout resubmissions
-  // can execute a task twice; only the first execution is measured, matching
-  // what the client observes (it counts the first completion).
+  // True the first time a task reaches an executor. Timeout resubmissions
+  // and hedges can execute a task twice; only the first execution is
+  // measured, matching what the client observes (it counts the first
+  // completion). Tests and sets the bit of the task's ordinal; a task that
+  // never passed through RecordSubmission fails a check.
+  bool FirstExecution(const net::TaskInfo& task);
+
+  // For a hub driven without clients (simbench's cluster.metrics probe):
+  // submits a task known only by its id and runs FirstExecution on it. Every
+  // call is a new task, so it returns true; only the TaskInfo form can tell
+  // a repeat.
   bool FirstExecution(const net::TaskId& id);
 
   // Called by an executor when a task begins service.
@@ -59,7 +66,10 @@ class MetricsHub {
   // Called by the client when the completion notice arrives.
   void RecordEndToEnd(const net::TaskInfo& task, TimeNs completion_time);
 
-  void RecordSubmission(TimeNs first_submit);
+  // Called once per task, at its first submission: gives the task the next
+  // dense ordinal (task.meta.ordinal) and counts it when its
+  // first_submit_time is in the window.
+  void RecordSubmission(net::TaskInfo& task);
   void RecordTimeoutResubmission();
   void RecordQueueFullRetry();
 
@@ -185,7 +195,10 @@ class MetricsHub {
   uint64_t client_rehomes_ = 0;
   uint64_t executor_rehomes_ = 0;
 
-  std::unordered_set<net::TaskId, net::TaskIdHash> executed_;
+  // One bit per submitted task, indexed by its ordinal: set at its first
+  // execution.
+  std::vector<uint64_t> execution_bits_;
+  uint32_t next_ordinal_ = 0;
   uint64_t total_node_completions_ = 0;
   uint64_t placement_counts_[3] = {0, 0, 0};
   uint64_t tasks_submitted_ = 0;

@@ -98,6 +98,9 @@ struct TaskInfo {
   // How a task was placed relative to its data (locality experiments).
   enum class Placement : uint8_t { kLocal = 0, kSameRack = 1, kRemote = 2, kUnknown = 255 };
 
+  // Meta::ordinal of a task no client has submitted yet.
+  static constexpr uint32_t kUnsubmitted = 0xFFFFFFFFu;
+
   // --- Simulation metadata (not on the wire) ---------------------------------
   struct Meta {
     TimeNs exec_duration = 0;       // service time of the pre-compiled function
@@ -107,11 +110,19 @@ struct TaskInfo {
     NodeId client = kInvalidNode;   // submitting client (scheduler fills this in)
     uint32_t attempt = 0;           // resubmission count
     Placement placement = Placement::kUnknown;
+    // Dense index the metrics hub gives the task at its first submission
+    // (MetricsHub::RecordSubmission). Resubmissions, hedges and retries copy
+    // the TaskInfo, so every replica carries its task's ordinal.
+    uint32_t ordinal = kUnsubmitted;
   } meta;
 
   // Wire footprint of one TASK_INFO entry: TID + FN_ID + FN_PAR + TPROPS.
   static constexpr size_t kWireSize = 4 + 4 + 8 + 4;
 };
+
+// The ordinal sits in Meta's tail padding: every queue entry, packet task
+// list and pending-task slot copies TaskInfos, so they must not grow.
+static_assert(sizeof(TaskInfo) == 80, "TaskInfo grew");
 
 // Which pointer a kRepair packet corrects.
 enum class RepairTarget : uint8_t { kAddPtr = 0, kRetrievePtr = 1 };

@@ -34,13 +34,17 @@ class Probe : public net::Endpoint {
   std::vector<net::Packet> received;
 };
 
-net::Packet Task(uint32_t tid, TimeNs duration = FromMicros(100)) {
+// A one-task job_submission for task <1, 1, tid>, submitted through the
+// testbed's metrics hub as a client would: workers check that every task
+// they run was submitted.
+net::Packet Task(cluster::Testbed& testbed, uint32_t tid, TimeNs duration = FromMicros(100)) {
   net::Packet p;
   p.op = net::OpCode::kJobSubmission;
   net::TaskInfo t;
   t.id = net::TaskId{1, 1, tid};
   t.meta.exec_duration = duration;
   t.meta.first_submit_time = 0;
+  testbed.metrics()->RecordSubmission(t);
   p.tasks = {t};
   return p;
 }
@@ -92,7 +96,7 @@ TEST_F(R2P2Test, CreditsStartAtKPerExecutor) {
 
 TEST_F(R2P2Test, TaskConsumesCreditAndRunsToCompletion) {
   Build(2, 3);
-  Submit(Task(0));
+  Submit(Task(testbed, 0));
   simulator.RunUntil(FromMicros(20));
   EXPECT_EQ(program->cp_credits(), 5u);
   EXPECT_EQ(program->counters().tasks_pushed, 1u);
@@ -104,7 +108,7 @@ TEST_F(R2P2Test, TaskConsumesCreditAndRunsToCompletion) {
 TEST_F(R2P2Test, BoundIsEnforcedExactly) {
   Build(2, 2);  // 4 slots total
   for (uint32_t i = 0; i < 4; ++i) {
-    Submit(Task(i, FromMillis(10)));
+    Submit(Task(testbed, i, FromMillis(10)));
   }
   simulator.RunUntil(FromMicros(50));
   EXPECT_EQ(program->cp_credits(), 0u);
@@ -114,9 +118,9 @@ TEST_F(R2P2Test, BoundIsEnforcedExactly) {
 
 TEST_F(R2P2Test, OverflowSpinsUntilACreditFrees) {
   Build(1, 1);
-  Submit(Task(0, FromMicros(200)));
+  Submit(Task(testbed, 0, FromMicros(200)));
   simulator.RunUntil(FromMicros(20));
-  Submit(Task(1, FromMicros(200)));
+  Submit(Task(testbed, 1, FromMicros(200)));
   simulator.RunUntil(FromMicros(100));
   // Task 1 is circling the loopback port.
   EXPECT_GT(program->counters().credit_wait_recirculations, 0u);
@@ -131,8 +135,8 @@ TEST_F(R2P2Test, HerdingWithinStalenessWindowPilesOntoOneExecutor) {
   Build(4, 3, /*staleness=*/FromMicros(5));
   // Two tasks in the same instant: the second sees the stale snapshot and
   // joins the same "shortest" executor even though three others are idle.
-  Submit(Task(0, FromMillis(1)));
-  Submit(Task(1, FromMillis(1)));
+  Submit(Task(testbed, 0, FromMillis(1)));
+  Submit(Task(testbed, 1, FromMillis(1)));
   simulator.RunUntil(FromMicros(50));
   uint32_t loaded = 0;
   uint32_t busy_executors = 0;
@@ -148,7 +152,7 @@ TEST_F(R2P2Test, HerdingWithinStalenessWindowPilesOntoOneExecutor) {
 
 TEST_F(R2P2Test, MultiTaskPacketIsRejected) {
   Build(2, 3);
-  net::Packet p = Task(0);
+  net::Packet p = Task(testbed, 0);
   p.tasks.push_back(p.tasks[0]);
   Submit(std::move(p));
   EXPECT_THROW(simulator.RunAll(), draconis::CheckFailure);
@@ -195,7 +199,7 @@ class RackSchedTest : public ::testing::Test {
 TEST_F(RackSchedTest, TasksCompleteAndCountersBalance) {
   Build(4, 2);
   for (uint32_t i = 0; i < 8; ++i) {
-    Submit(Task(i));
+    Submit(Task(testbed, i));
   }
   simulator.RunAll();
   EXPECT_EQ(client.CountOf(net::OpCode::kCompletionNotice), 8u);
@@ -209,7 +213,7 @@ TEST_F(RackSchedTest, TasksCompleteAndCountersBalance) {
 TEST_F(RackSchedTest, PowerOfTwoSpreadsLoadAcrossNodes) {
   Build(4, 2);
   for (uint32_t i = 0; i < 64; ++i) {
-    Submit(Task(i, FromMillis(5)));
+    Submit(Task(testbed, i, FromMillis(5)));
   }
   simulator.RunUntil(FromMillis(1));
   // All 64 queued somewhere; the po2 sampler with live counters must not put
@@ -233,7 +237,7 @@ class RackSchedPsTest : public RackSchedTest {
 
 TEST_F(RackSchedPsTest, SingleTaskRunsAtFullSpeed) {
   Build(2, 2);
-  Submit(Task(0, FromMicros(100)));
+  Submit(Task(testbed, 0, FromMicros(100)));
   simulator.RunAll();
   EXPECT_EQ(client.CountOf(net::OpCode::kCompletionNotice), 1u);
   // Completed in roughly dispatch (3.5us) + pickup + 100us + network.
@@ -245,11 +249,11 @@ TEST_F(RackSchedPsTest, SharingSlowsConcurrentTasksFairly) {
   // finish around 200 us of service time each (not 100/200 as under FCFS).
   Build(2, 1);
   // Force both onto node 0 by saturating node 1 with a long task first.
-  Submit(Task(0, FromMillis(50)));
-  Submit(Task(1, FromMillis(50)));
+  Submit(Task(testbed, 0, FromMillis(50)));
+  Submit(Task(testbed, 1, FromMillis(50)));
   simulator.RunUntil(FromMicros(20));
-  Submit(Task(2, FromMicros(100)));
-  Submit(Task(3, FromMicros(100)));
+  Submit(Task(testbed, 2, FromMicros(100)));
+  Submit(Task(testbed, 3, FromMicros(100)));
   simulator.RunUntil(FromMillis(1));
   // Tasks 2 and 3 shared a core with one 50ms giant on whichever node they
   // landed: at 1/3 (or 1/2) speed each they still finish within a
@@ -261,10 +265,10 @@ TEST_F(RackSchedPsTest, PreemptionRescuesShortTasksBehindLongOnes) {
   // The heavy-tail scenario PS exists for: a long task occupies the node; a
   // short task arriving later must not wait for it.
   Build(2, 1);
-  Submit(Task(0, FromMillis(10)));  // long
-  Submit(Task(1, FromMillis(10)));  // long (covers the other node)
+  Submit(Task(testbed, 0, FromMillis(10)));  // long
+  Submit(Task(testbed, 1, FromMillis(10)));  // long (covers the other node)
   simulator.RunUntil(FromMicros(50));
-  Submit(Task(2, FromMicros(50)));  // short, lands behind a long task
+  Submit(Task(testbed, 2, FromMicros(50)));  // short, lands behind a long task
   simulator.RunUntil(FromMillis(2));
   // Short task done in ~2x its service time (half speed), not 10 ms.
   EXPECT_EQ(client.CountOf(net::OpCode::kCompletionNotice), 1u);
@@ -274,7 +278,7 @@ TEST_F(RackSchedPsTest, PreemptionRescuesShortTasksBehindLongOnes) {
 
 TEST_F(RackSchedTest, DispatchOverheadDelaysExecution) {
   Build(2, 1);
-  Submit(Task(0, FromMicros(100)));
+  Submit(Task(testbed, 0, FromMicros(100)));
   simulator.RunAll();
   ASSERT_EQ(metrics->sched_delay().count(), 1u);
   // Delay includes the intra-node dispatcher's ~3.5 us.
@@ -295,15 +299,20 @@ class RackSchedWorkerTest : public ::testing::Test {
     client_node = network.Register(&client, net::HostProfile::Wire());
   }
 
-  void Assign(uint32_t tid, uint32_t deadline_us, TimeNs duration,
-              TimeNs enqueue_time = -1) {
-    net::Packet p = Task(tid, duration);
+  net::Packet Assignment(uint32_t tid, uint32_t deadline_us, TimeNs duration,
+                         TimeNs enqueue_time = -1) {
+    net::Packet p = Task(testbed, tid, duration);
     p.op = net::OpCode::kTaskAssignment;
     p.tasks[0].tprops = deadline_us;  // the deadline tagger stores relative us here
     p.tasks[0].meta.enqueue_time = enqueue_time >= 0 ? enqueue_time : simulator.Now();
     p.client_addr = client_node;
     p.dst = worker->node_id();
-    network.Send(client_node, p);
+    return p;
+  }
+
+  void Assign(uint32_t tid, uint32_t deadline_us, TimeNs duration,
+              TimeNs enqueue_time = -1) {
+    network.Send(client_node, Assignment(tid, deadline_us, duration, enqueue_time));
   }
 
   std::vector<uint32_t> CompletionOrder() const {
@@ -356,8 +365,9 @@ TEST_F(RackSchedWorkerTest, EdfRunsUntaggedTasksInFcfsOrder) {
 TEST_F(RackSchedWorkerTest, DuplicateChargesItsWholeOccupancyAsWastedWork) {
   Build(IntraNodePolicy::kFcfs);
   const TimeNs duration = FromMicros(100);
-  Assign(7, 0, duration);
-  Assign(7, 0, duration);  // the same task id again: a duplicate execution
+  const net::Packet assignment = Assignment(7, 0, duration);
+  network.Send(client_node, assignment);
+  network.Send(client_node, assignment);  // the same task again: a duplicate execution
   simulator.RunAll();
   EXPECT_EQ(CompletionOrder(), (std::vector<uint32_t>{7, 7}));
   // The duplicate holds its core through the dispatcher's overhead, the
@@ -432,7 +442,7 @@ class MalcolmTest : public ::testing::Test {
 TEST_F(MalcolmTest, TasksCompleteAndCreditsFeedTheHistograms) {
   Build(2, 2);
   for (uint32_t i = 0; i < 8; ++i) {
-    Submit(Task(i));
+    Submit(Task(testbed, i));
   }
   simulator.RunAll();
   EXPECT_EQ(client.CountOf(net::OpCode::kCompletionNotice), 8u);
@@ -450,7 +460,7 @@ TEST_F(MalcolmTest, TasksCompleteAndCreditsFeedTheHistograms) {
 TEST_F(MalcolmTest, LeastOutstandingSpreadsBeforeAnySojournIsObserved) {
   Build(4, 1);
   for (uint32_t i = 0; i < 4; ++i) {
-    Submit(Task(i, FromMillis(5)));
+    Submit(Task(testbed, i, FromMillis(5)));
   }
   simulator.RunUntil(FromMillis(1));
   // No completions yet, so every node's expected sojourn is the 1 ns floor:
@@ -465,14 +475,14 @@ TEST_F(MalcolmTest, SteersAwayFromTheSlowNode) {
   // Teach the switch that node 0 is slow and node 1 fast: run one 2 ms task
   // on node 0 and one 10 us task on node 1 (outstanding ties route by
   // rotation, so the first goes to node 0, the second to node 1).
-  Submit(Task(0, FromMillis(2)));
-  Submit(Task(1, FromMicros(10)));
+  Submit(Task(testbed, 0, FromMillis(2)));
+  Submit(Task(testbed, 1, FromMicros(10)));
   simulator.RunAll();
   ASSERT_EQ(program->counters().credits, 2u);
   ASSERT_GT(program->cp_histogram(0).ExpectedNs(),
             program->cp_histogram(1).ExpectedNs());
   // Both nodes idle; the measured distributions now favor node 1.
-  Submit(Task(2, FromMicros(10)));
+  Submit(Task(testbed, 2, FromMicros(10)));
   simulator.RunUntil(simulator.Now() + FromMicros(5));
   EXPECT_EQ(program->cp_outstanding(0), 0);
   EXPECT_EQ(program->cp_outstanding(1), 1);
@@ -505,6 +515,7 @@ class SparrowTest : public ::testing::Test {
       t.id = net::TaskId{1, jid, static_cast<uint32_t>(i)};
       t.meta.exec_duration = duration;
       t.meta.first_submit_time = 0;
+      testbed.metrics()->RecordSubmission(t);
       p.tasks.push_back(t);
     }
     return p;
@@ -592,7 +603,7 @@ class CentralServerTest : public ::testing::Test {
 
 TEST_F(CentralServerTest, FcfsAssignment) {
   Build(CentralServerConfig::Transport::kDpdk);
-  net::Packet job = Task(7);
+  net::Packet job = Task(testbed, 7);
   job.dst = server->node_id();
   network.Send(client_node, std::move(job));
   simulator.RunUntil(FromMicros(50));
@@ -609,7 +620,7 @@ TEST_F(CentralServerTest, ParksRequestsOnEmptyQueue) {
   EXPECT_EQ(server->counters().parked_requests, 1u);
   EXPECT_EQ(executor.CountOf(net::OpCode::kTaskAssignment), 0u);
 
-  net::Packet job = Task(1);
+  net::Packet job = Task(testbed, 1);
   job.dst = server->node_id();
   network.Send(client_node, std::move(job));
   simulator.RunAll();
@@ -618,9 +629,8 @@ TEST_F(CentralServerTest, ParksRequestsOnEmptyQueue) {
 
 TEST_F(CentralServerTest, FullQueueBouncesTasks) {
   Build(CentralServerConfig::Transport::kDpdk, /*capacity=*/1);
-  net::Packet job = Task(0);
-  job.tasks.push_back(job.tasks[0]);
-  job.tasks[1].id.tid = 1;
+  net::Packet job = Task(testbed, 0);
+  job.tasks.push_back(Task(testbed, 1).tasks[0]);
   job.dst = server->node_id();
   network.Send(client_node, std::move(job));
   simulator.RunAll();
@@ -636,7 +646,7 @@ TEST_F(CentralServerTest, SocketTransportIsSlowerPerPacket) {
     CentralServerScheduler srv(&tb, config);
     Probe probe;
     const net::NodeId src = tb.network().Register(&probe, net::HostProfile::Wire());
-    net::Packet job = Task(0);
+    net::Packet job = Task(tb, 0);
     job.dst = srv.node_id();
     tb.network().Send(src, std::move(job));
     tb.simulator().RunAll();

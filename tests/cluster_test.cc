@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "cluster/client.h"
 #include "cluster/executor.h"
 #include "cluster/metrics.h"
 #include "cluster/testbed.h"
+#include "common/check.h"
 #include "core/draconis_program.h"
 #include "core/policy.h"
 #include "fault/injector.h"
@@ -58,12 +60,41 @@ TEST(MetricsHubTest, WindowFiltersByFirstSubmission) {
   EXPECT_EQ(hub.sched_delay().max(), 10);
 }
 
+// Duplicate detection keys on the ordinal each task gets at submission, a
+// field that must fit the TaskInfo's existing padding.
+static_assert(sizeof(net::TaskInfo) == 80);
+
 TEST(MetricsHubTest, FirstExecutionDeduplicates) {
   MetricsHub hub(0, 1000);
-  const net::TaskId id{1, 2, 3};
-  EXPECT_TRUE(hub.FirstExecution(id));
-  EXPECT_FALSE(hub.FirstExecution(id));
-  EXPECT_TRUE(hub.FirstExecution(net::TaskId{1, 2, 4}));
+  net::TaskInfo task;
+  task.id = net::TaskId{1, 2, 3};
+  task.meta.first_submit_time = 10;
+  hub.RecordSubmission(task);
+  net::TaskInfo sibling = task;
+  sibling.id.tid = 4;
+  hub.RecordSubmission(sibling);
+  EXPECT_EQ(hub.tasks_submitted(), 2u);
+
+  net::TaskInfo replica = task;  // a resubmission copies the TaskInfo
+  replica.meta.attempt = 1;
+  EXPECT_TRUE(hub.FirstExecution(task));
+  EXPECT_FALSE(hub.FirstExecution(replica));
+  EXPECT_FALSE(hub.FirstExecution(task));
+  EXPECT_TRUE(hub.FirstExecution(sibling));
+}
+
+TEST(MetricsHubTest, ExecutingAnUnsubmittedTaskFailsACheckNamingIt) {
+  MetricsHub hub(0, 1000);
+  net::TaskInfo submitted;
+  hub.RecordSubmission(submitted);
+  net::TaskInfo stray;
+  stray.id = net::TaskId{7, 8, 9};
+  try {
+    hub.FirstExecution(stray);
+    FAIL() << "an unsubmitted task executed";
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("<7, 8, 9>"), std::string::npos) << e.what();
+  }
 }
 
 TEST(MetricsHubTest, BusyIntervalClampedToWindow) {
@@ -178,6 +209,100 @@ TEST_F(ClientTest, TimeoutResubmitsWithBackoff) {
   EXPECT_EQ(metrics.timeout_resubmissions(), 1u);
   simulator.RunUntil(FromMicros(700));
   EXPECT_EQ(metrics.timeout_resubmissions(), 2u);
+}
+
+// Every task the scheduler probe has received, in arrival order.
+std::vector<net::TaskInfo> ReceivedTasks(const Probe& scheduler) {
+  std::vector<net::TaskInfo> tasks;
+  for (const net::Packet& pkt : scheduler.received) {
+    tasks.insert(tasks.end(), pkt.tasks.begin(), pkt.tasks.end());
+  }
+  return tasks;
+}
+
+TEST_F(ClientTest, SameJobAndTaskIdsUnderTwoUidsAreTwoTasks) {
+  ClientConfig config;
+  config.uid = 0;
+  MakeClient(config).SubmitJob({TaskSpec{}});
+  config.uid = 1;
+  Client other(&testbed, config);
+  other.SetScheduler(scheduler_node);
+  other.SubmitJob({TaskSpec{}});
+  simulator.RunUntil(FromMicros(20));
+  const std::vector<net::TaskInfo> tasks = ReceivedTasks(scheduler);
+  ASSERT_EQ(tasks.size(), 2u);
+  EXPECT_NE(tasks[0].id.uid, tasks[1].id.uid);
+  EXPECT_EQ(tasks[0].id.jid, tasks[1].id.jid);
+  EXPECT_EQ(tasks[0].id.tid, tasks[1].id.tid);
+  EXPECT_TRUE(metrics.FirstExecution(tasks[0]));
+  EXPECT_TRUE(metrics.FirstExecution(tasks[1]));
+  EXPECT_FALSE(metrics.FirstExecution(tasks[0]));
+  EXPECT_FALSE(metrics.FirstExecution(tasks[1]));
+}
+
+TEST_F(ClientTest, JobsOfMoreThan64TasksDeduplicateEveryTask) {
+  Client& c = MakeClient();
+  c.SubmitJob(std::vector<TaskSpec>(3));
+  c.SubmitJob(std::vector<TaskSpec>(150));  // tids 64..149 span several packets
+  c.SubmitJob(std::vector<TaskSpec>(2));
+  simulator.RunUntil(FromMicros(40));  // before the no-reply timeouts fire
+  const std::vector<net::TaskInfo> tasks = ReceivedTasks(scheduler);
+  ASSERT_EQ(tasks.size(), 155u);
+  EXPECT_EQ(tasks[152].id.tid, 149u);
+  // Execute the big job's high tids first, then the rest, then all again.
+  for (size_t i = tasks.size(); i-- > 0;) {
+    EXPECT_TRUE(metrics.FirstExecution(tasks[i])) << i;
+  }
+  for (const net::TaskInfo& task : tasks) {
+    EXPECT_FALSE(metrics.FirstExecution(task)) << task.id.jid << "/" << task.id.tid;
+  }
+}
+
+TEST_F(ClientTest, TimeoutResubmissionIsDetectedAsADuplicate) {
+  ClientConfig config;
+  config.timeout_multiplier = 2.0;
+  Client& c = MakeClient(config);
+  TaskSpec spec;
+  spec.duration = FromMicros(100);
+  c.SubmitJob({spec});  // the scheduler probe never answers
+  simulator.RunUntil(FromMicros(250));  // past the 200 us timeout
+  const std::vector<net::TaskInfo> tasks = ReceivedTasks(scheduler);
+  ASSERT_EQ(tasks.size(), 2u);
+  ASSERT_EQ(tasks[1].meta.attempt, 1u);
+  EXPECT_TRUE(metrics.FirstExecution(tasks[0]));
+  EXPECT_FALSE(metrics.FirstExecution(tasks[1]));
+}
+
+TEST_F(ClientTest, HedgeReplicaIsDetectedAsADuplicate) {
+  Client& c = MakeClient();
+  TaskSpec spec;
+  spec.duration = FromMillis(5);
+  c.SubmitJob({spec});
+  simulator.RunUntil(FromMicros(20));
+  ASSERT_TRUE(c.HedgeTask(ReceivedTasks(scheduler).at(0).id));
+  simulator.RunUntil(FromMicros(40));
+  const std::vector<net::TaskInfo> tasks = ReceivedTasks(scheduler);
+  ASSERT_EQ(tasks.size(), 2u);
+  // Whichever replica starts first is the first execution.
+  EXPECT_TRUE(metrics.FirstExecution(tasks[1]));
+  EXPECT_FALSE(metrics.FirstExecution(tasks[0]));
+}
+
+TEST_F(ClientTest, TimeoutsSaturateInsteadOfOverflowing) {
+  ClientConfig config;
+  config.timeout_multiplier = 1e9;  // "never resubmit", as fig13 configures it
+  Client& c = MakeClient(config);
+  TaskSpec longest;
+  longest.duration = FromSeconds(20);  // 2e19 ns scaled: past 2^63
+  c.SubmitJob({longest});
+  TaskSpec hedged;
+  hedged.duration = FromSeconds(6);  // 6e18 ns scaled fits; doubled by a hedge it does not
+  c.SubmitJob({hedged});
+  simulator.RunUntil(FromMicros(20));
+  ASSERT_TRUE(c.HedgeTask(net::TaskId{0, 1, 0}));
+  simulator.RunUntil(FromMillis(10));
+  EXPECT_EQ(metrics.timeout_resubmissions(), 0u);
+  EXPECT_EQ(c.outstanding(), 2u);
 }
 
 TEST_F(ClientTest, CompletionCancelsTimeoutAndIgnoresDuplicates) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -414,6 +415,28 @@ TEST(ValidateTest, RejectsWarmupPastTheHorizon) {
   config.warmup = config.horizon;
   const std::string error = config.Validate();
   EXPECT_NE(error.find("warmup"), std::string::npos) << error;
+}
+
+TEST(ValidateTest, RejectsClientTimeoutsThatNeverAdvanceTime) {
+  ExperimentConfig config = TinyConfig();
+  config.timeout_floor = 0;  // zero-length timeouts would re-arm at one instant forever
+  EXPECT_NE(config.Validate().find("timeout_floor"), std::string::npos);
+  config.timeout_floor = -1;
+  EXPECT_NE(config.Validate().find("timeout_floor"), std::string::npos);
+  EXPECT_THROW(RunExperiment(config), draconis::CheckFailure);
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  for (double multiplier : {-1.0, kInf, kNaN}) {
+    config = TinyConfig();
+    config.timeout_multiplier = multiplier;
+    EXPECT_NE(config.Validate().find("timeout_multiplier"), std::string::npos) << multiplier;
+  }
+  // A huge finite multiplier is how a bench rules resubmission out.
+  config = TinyConfig();
+  config.timeout_multiplier = 1e9;
+  config.timeout_floor = 1;
+  EXPECT_EQ(config.Validate(), "");
 }
 
 TEST(ValidateTest, RunExperimentRefusesInvalidConfigs) {
