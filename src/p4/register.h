@@ -105,10 +105,16 @@ class RegisterArray {
  public:
   // `wire_bytes_per_element` is the hardware footprint of one element, which
   // can be smaller than sizeof(T) because T carries simulation metadata.
+  //
+  // Elements are stored only up to the highest index written so far; the
+  // rest read as `initial`. The storage is reserved here but not touched, so
+  // a 164 K-entry task queue costs nothing at build time and its memory
+  // follows the slots the run actually uses.
   RegisterArray(std::string name, size_t size, T initial = T{},
                 ResourceLedger* ledger = nullptr, size_t wire_bytes_per_element = sizeof(T))
-      : name_(std::move(name)), values_(size, initial) {
+      : name_(std::move(name)), size_(size), initial_(std::move(initial)) {
     DRACONIS_CHECK(size > 0);
+    values_.reserve(size);
     if (ledger != nullptr) {
       ledger->Account(name_, size, size * wire_bytes_per_element);
     }
@@ -117,34 +123,36 @@ class RegisterArray {
   RegisterArray(const RegisterArray&) = delete;
   RegisterArray& operator=(const RegisterArray&) = delete;
 
-  size_t size() const { return values_.size(); }
+  size_t size() const { return size_; }
   const std::string& name() const { return name_; }
 
   // --- Stateful-ALU operations (each consumes this pass's single access) ----
 
   T Read(PacketPass& pass, size_t i) {
     Claim(pass, i);
-    return values_[i];
+    return Get(i);
   }
 
   void Write(PacketPass& pass, size_t i, T value) {
     Claim(pass, i);
-    values_[i] = std::move(value);
+    Slot(i) = std::move(value);
   }
 
   // Atomic fetch-and-add; returns the previous value.
   T ReadAndAdd(PacketPass& pass, size_t i, T delta) {
     Claim(pass, i);
-    T old = values_[i];
-    values_[i] = old + delta;
+    T& slot = Slot(i);
+    T old = slot;
+    slot = old + delta;
     return old;
   }
 
   // Atomic exchange; returns the previous value.
   T Exchange(PacketPass& pass, size_t i, T value) {
     Claim(pass, i);
-    T old = std::move(values_[i]);
-    values_[i] = std::move(value);
+    T& slot = Slot(i);
+    T old = std::move(slot);
+    slot = std::move(value);
     return old;
   }
 
@@ -152,10 +160,12 @@ class RegisterArray {
   // from packet metadata in earlier stages); always returns the old value.
   T ConditionalExchange(PacketPass& pass, size_t i, bool condition, T value) {
     Claim(pass, i);
-    T old = values_[i];
-    if (condition) {
-      values_[i] = std::move(value);
+    if (!condition) {
+      return Get(i);
     }
+    T& slot = Slot(i);
+    T old = slot;
+    slot = std::move(value);
     return old;
   }
 
@@ -167,8 +177,9 @@ class RegisterArray {
   template <typename Fn>
   T Update(PacketPass& pass, size_t i, Fn fn) {
     Claim(pass, i);
-    T old = values_[i];
-    values_[i] = fn(old);
+    T& slot = Slot(i);
+    T old = slot;
+    slot = fn(old);
     return old;
   }
 
@@ -177,10 +188,10 @@ class RegisterArray {
   // whether the add happened}.
   std::pair<T, bool> AddIfAtMost(PacketPass& pass, size_t i, T ceiling, T delta) {
     Claim(pass, i);
-    T old = values_[i];
+    T old = Get(i);
     const bool applied = !(ceiling < old);
     if (applied) {
-      values_[i] = old + delta;
+      Slot(i) = old + delta;
     }
     return {old, applied};
   }
@@ -190,23 +201,36 @@ class RegisterArray {
   // plane uses this for initialization and monitoring only.
 
   const T& ControlPlaneRead(size_t i) const {
-    DRACONIS_CHECK(i < values_.size());
-    return values_[i];
+    DRACONIS_CHECK(i < size_);
+    return Get(i);
   }
 
   void ControlPlaneWrite(size_t i, T value) {
-    DRACONIS_CHECK(i < values_.size());
-    values_[i] = std::move(value);
+    DRACONIS_CHECK(i < size_);
+    Slot(i) = std::move(value);
   }
 
  private:
   void Claim(PacketPass& pass, size_t i) {
-    DRACONIS_CHECK_MSG(i < values_.size(), "register index out of range: " + name_);
+    DRACONIS_CHECK_MSG(i < size_, "register index out of range: " + name_);
     DRACONIS_CHECK_MSG(pass.TryMarkAccess(this),
                        "register accessed twice in one packet pass: " + name_);
   }
 
+  const T& Get(size_t i) const { return i < values_.size() ? values_[i] : initial_; }
+
+  // The stored element at `i`, first storing every unwritten one up to it.
+  // Never reallocates: the constructor reserved all `size_` elements.
+  T& Slot(size_t i) {
+    if (i >= values_.size()) {
+      values_.resize(i + 1, initial_);
+    }
+    return values_[i];
+  }
+
   std::string name_;
+  size_t size_;
+  T initial_;
   std::vector<T> values_;
 };
 

@@ -143,6 +143,57 @@ TEST(RegisterTest, OutOfRangeIndexThrows) {
   EXPECT_THROW(reg.Read(pass, 2), draconis::CheckFailure);
 }
 
+TEST(RegisterTest, UnwrittenElementsReadTheirInitialValueAtEveryIndex) {
+  // Storage grows only up to the highest index written; every operation
+  // must still see `initial` below, at and above that index.
+  RegisterArray<uint32_t> reg("r", 1000, 7);
+  {
+    PacketPass pass;
+    reg.Write(pass, 600, 1);
+  }
+  EXPECT_EQ(reg.ControlPlaneRead(0), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(599), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(600), 1u);
+  EXPECT_EQ(reg.ControlPlaneRead(601), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(999), 7u);
+  EXPECT_THROW(reg.ControlPlaneRead(1000), draconis::CheckFailure);
+  {
+    PacketPass pass;
+    EXPECT_EQ(reg.Read(pass, 999), 7u);
+  }
+  {
+    PacketPass pass;
+    EXPECT_EQ(reg.ConditionalExchange(pass, 900, false, 3), 7u);
+  }
+  {
+    PacketPass pass;
+    auto [old, applied] = reg.AddIfAtMost(pass, 800, 6, 1);
+    EXPECT_EQ(old, 7u);
+    EXPECT_FALSE(applied);
+  }
+  {
+    PacketPass pass;
+    EXPECT_EQ(reg.ReadAndAdd(pass, 700, 2), 7u);
+  }
+  {
+    PacketPass pass;
+    EXPECT_EQ(reg.Update(pass, 998, [](uint32_t v) { return v * 10; }), 7u);
+  }
+  {
+    PacketPass pass;
+    EXPECT_EQ(reg.Exchange(pass, 999, 5), 7u);
+  }
+  EXPECT_EQ(reg.ControlPlaneRead(700), 9u);
+  EXPECT_EQ(reg.ControlPlaneRead(800), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(900), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(997), 7u);
+  EXPECT_EQ(reg.ControlPlaneRead(998), 70u);
+  EXPECT_EQ(reg.ControlPlaneRead(999), 5u);
+  reg.ControlPlaneWrite(0, 4);
+  EXPECT_EQ(reg.ControlPlaneRead(0), 4u);
+  EXPECT_EQ(reg.ControlPlaneRead(1), 7u);
+}
+
 TEST(RegisterTest, ControlPlaneWriteBypassesBudget) {
   RegisterArray<uint32_t> reg("r", 1);
   PacketPass pass;
